@@ -56,6 +56,10 @@ GpuConfig::validate() const
         scsim_throw(ConfigError, "need at least one collector unit per sub-core");
     if (sharedWarpPool && subCores != 1)
         scsim_throw(ConfigError, "sharedWarpPool requires a monolithic SM");
+    // Warp state is kept in one 64-bit mask word per SM (warp.hh).
+    if (maxWarpsPerSm < 1 || maxWarpsPerSm > 64)
+        scsim_throw(ConfigError, "maxWarpsPerSm must be in [1,64] (got %d)",
+                    maxWarpsPerSm);
     if (maxWarpsPerScheduler * schedulersPerSm < maxWarpsPerSm)
         scsim_throw(ConfigError, "scheduler tables (%d x %d) cannot hold "
                     "maxWarpsPerSm (%d)", schedulersPerSm,

@@ -1,12 +1,54 @@
 #include "core/issue_cluster.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "common/state_io.hh"
 #include "core/sm_core.hh"
 
 namespace scsim {
+
+namespace {
+
+/**
+ * Scoreboard test of each warp in @p unseen (bound, schedulable, next
+ * instruction not yet seen hazard-free).  A pass is memoised in the
+ * ready/needsCu masks; the warps that fail are returned, and the
+ * caller decides whether that marks them blocked.
+ */
+std::uint64_t
+testHazards(std::uint64_t unseen, const WarpContext *warps,
+            WarpMasks &m)
+{
+    std::uint64_t failed = 0;
+    for (; unseen != 0; unseen &= unseen - 1) {
+        auto slot = static_cast<WarpSlot>(std::countr_zero(unseen));
+        const WarpContext &w = warps[slot];
+        const Instruction &inst = w.nextInst();
+        // Drain in-flight writes before leaving the pipeline.
+        bool drainOp = inst.op == Opcode::EXIT || inst.op == Opcode::BAR;
+        if (drainOp ? w.scoreboard.anyPending()
+                    : !w.scoreboard.ready(inst)) {
+            failed |= slotBit(slot);
+            continue;
+        }
+        m.ready |= slotBit(slot);
+        if (inst.usesCollector())
+            m.needsCu |= slotBit(slot);
+    }
+    return failed;
+}
+
+/** Does @p bound hold a warp worth a scoreboard stall (rather than a
+ *  no-warp stall): a hazard-blocked or a schedulable one? */
+bool
+holdsWaitingWarp(std::uint64_t bound, const WarpMasks &m)
+{
+    return (bound & (m.blocked | ~m.parked)) != 0;
+}
+
+} // namespace
 
 IssueCluster::IssueCluster(const GpuConfig &cfg, int clusterId)
     : cfg_(cfg),
@@ -18,8 +60,7 @@ IssueCluster::IssueCluster(const GpuConfig &cfg, int clusterId)
     int nsched = cfg.schedulersPerCluster();
     for (int s = 0; s < nsched; ++s)
         scheds_.push_back(makeScheduler(cfg));
-    schedWarps_.resize(static_cast<std::size_t>(nsched));
-    ageCounter_.assign(static_cast<std::size_t>(nsched), 0);
+    tables_.resize(static_cast<std::size_t>(nsched));
 
     ringDepth_ = static_cast<std::size_t>(cfg.rbaScoreLatency) + 1;
     numBanks_ = static_cast<std::size_t>(cfg.banksPerCluster());
@@ -36,39 +77,46 @@ IssueCluster::IssueCluster(const GpuConfig &cfg, int clusterId)
 int
 IssueCluster::warpCount(int sched) const
 {
-    return static_cast<int>(
-        schedWarps_[static_cast<std::size_t>(sched)].size());
+    return static_cast<int>(warpsOf(sched).size());
 }
 
 int
 IssueCluster::totalWarpCount() const
 {
-    int n = 0;
-    for (const auto &list : schedWarps_)
-        n += static_cast<int>(list.size());
-    return n;
+    return std::popcount(boundAll());
+}
+
+std::uint64_t
+IssueCluster::boundAll() const
+{
+    std::uint64_t all = 0;
+    for (const SchedTable &table : tables_)
+        all |= table.bound;
+    return all;
 }
 
 std::uint32_t
 IssueCluster::addWarp(int sched, WarpSlot slot, bool unchecked)
 {
-    auto idx = static_cast<std::size_t>(sched);
+    SchedTable &table = tables_[static_cast<std::size_t>(sched)];
     scsim_assert(unchecked
-                     || static_cast<int>(schedWarps_[idx].size())
+                     || static_cast<int>(table.slots.size())
                             < cfg_.maxWarpsPerScheduler,
                  "scheduler table overflow");
-    schedWarps_[idx].push_back(slot);
+    table.slots.push_back(slot);
+    table.bound |= slotBit(slot);
     wake();
-    return ageCounter_[idx]++;
+    return table.nextAge++;
 }
 
 void
 IssueCluster::removeWarp(int sched, WarpSlot slot)
 {
-    auto &list = schedWarps_[static_cast<std::size_t>(sched)];
-    auto it = std::find(list.begin(), list.end(), slot);
-    scsim_assert(it != list.end(), "removing unbound warp");
-    list.erase(it);
+    SchedTable &table = tables_[static_cast<std::size_t>(sched)];
+    auto it = std::find(table.slots.begin(), table.slots.end(), slot);
+    scsim_assert(it != table.slots.end(), "removing unbound warp");
+    table.slots.erase(it);
+    table.bound &= ~slotBit(slot);
     wake();
 }
 
@@ -104,22 +152,17 @@ void
 IssueCluster::fallAsleep(const SmCore &sm)
 {
     // The frozen cycle's scan finds no candidate and every warp it
-    // could block on is already sbBlocked, so each scheduler's stall
+    // could block on is already blocked, so each scheduler's stall
     // reason is fixed: scoreboard when it holds a blocked or
     // schedulable warp, no-warp otherwise.  The shared pool records
     // no stall reason at all.
     sleepSbStalls_ = 0;
     sleepNoWarpStalls_ = 0;
     if (!cfg_.sharedWarpPool) {
-        const WarpContext *warps = sm.warpTable();
-        for (const auto &list : schedWarps_) {
-            bool waiting = std::any_of(
-                list.begin(), list.end(), [&](WarpSlot slot) {
-                    return warps[slot].sbBlocked
-                        || warps[slot].schedulable();
-                });
-            ++(waiting ? sleepSbStalls_ : sleepNoWarpStalls_);
-        }
+        for (const SchedTable &table : tables_)
+            ++(holdsWaitingWarp(table.bound, sm.masks())
+                   ? sleepSbStalls_
+                   : sleepNoWarpStalls_);
     }
     asleep_ = true;
 }
@@ -127,7 +170,7 @@ IssueCluster::fallAsleep(const SmCore &sm)
 void
 IssueCluster::sleepTick(SmCore &sm)
 {
-#ifdef SCSIM_AUDIT_SLEEP
+#ifdef SCSIM_AUDIT
     scsim_assert(!hasImmediateWork(sm),
                  "cluster %d sleeps through a wake source", id_);
 #endif
@@ -232,6 +275,20 @@ IssueCluster::staleQueueView() const
     return qlenRing_.data() + idx * numBanks_;
 }
 
+void
+IssueCluster::collectCandidates(const std::vector<WarpSlot> &slots,
+                                std::uint64_t cand)
+{
+    if ((cand & (cand - 1)) == 0) {   // zero or one: no order to keep
+        if (cand != 0)
+            candidates_.push_back(std::countr_zero(cand));
+        return;
+    }
+    for (WarpSlot slot : slots)
+        if (cand & slotBit(slot))
+            candidates_.push_back(slot);
+}
+
 int
 IssueCluster::issue(Cycle now, SmCore &sm)
 {
@@ -243,6 +300,7 @@ IssueCluster::issue(Cycle now, SmCore &sm)
         snap[b] = arbiter_.readQueueLen(b);
 
     WarpContext *warps = sm.warpTable();
+    WarpMasks &m = sm.masks();
     PickContext ctx;
     ctx.now = now;
     ctx.warps = warps;
@@ -254,23 +312,27 @@ IssueCluster::issue(Cycle now, SmCore &sm)
         // Monolithic (pre-Maxwell) issue: every scheduler slot may
         // pick any ready warp in the cluster; a warp may issue more
         // than once per cycle (dual issue of independent instructions
-        // from one warp).
+        // from one warp).  This path never marks warps blocked; a warp
+        // failing the scoreboard test stays failed for the rest of the
+        // issue phase, since no write retires before the grants.
         auto &policy = *scheds_[0];
         sm.stats().schedCycles += static_cast<std::uint64_t>(nsched);
         int slots = nsched * cfg_.issueWidthPerScheduler;
+        std::uint64_t hazard = 0;
         for (int k = 0; k < slots; ++k) {
-            candidates_.clear();
             // No CU is allocated during the scan itself, so the
             // collector-free test is loop-invariant.
             const bool cuFree = collector_.hasFree();
-            for (const auto &list : schedWarps_)
-                for (WarpSlot slot : list) {
-                    WarpContext &w = warps[slot];
-                    if (!w.sbBlocked && candidateReadyWith(w, cuFree))
-                        candidates_.push_back(slot);
-                }
-            if (candidates_.empty())
+            std::uint64_t live = boundAll() & ~m.parked & ~m.blocked;
+            hazard |= testHazards(live & ~m.ready & ~hazard, warps, m);
+            std::uint64_t cand = live & m.ready;
+            if (!cuFree)
+                cand &= ~m.needsCu;
+            if (cand == 0)
                 break;
+            candidates_.clear();
+            for (const SchedTable &table : tables_)
+                collectCandidates(table.slots, cand & table.bound);
             WarpSlot chosen = policy.pick(candidates_, ctx);
             issueTo(now, sm, warps[chosen].schedInCluster, chosen);
             policy.notifyIssued(chosen, now);
@@ -284,82 +346,61 @@ IssueCluster::issue(Cycle now, SmCore &sm)
     for (int k = 0; k < nsched; ++k) {
         int s = (start + k) % nsched;
         auto &policy = *scheds_[static_cast<std::size_t>(s)];
+        const SchedTable &table = tables_[static_cast<std::size_t>(s)];
         ++sm.stats().schedCycles;
         for (int slotIssue = 0; slotIssue < cfg_.issueWidthPerScheduler;
              ++slotIssue) {
-            candidates_.clear();
-            bool sawHazard = false, sawNoCu = false, sawWarp = false;
             // Loop-invariant: issue happens after the scan, so CU
             // availability cannot change while collecting candidates.
             const bool cuFree = collector_.hasFree();
-            for (WarpSlot slot
-                 : schedWarps_[static_cast<std::size_t>(s)]) {
-                WarpContext &w = warps[slot];
-                if (w.sbBlocked || !w.schedulable()) {
-                    sawWarp = sawWarp || w.sbBlocked;
-                    continue;
-                }
-                sawWarp = true;
-                const Instruction &inst = w.nextInst();
-                bool drainOp = inst.op == Opcode::EXIT
-                    || inst.op == Opcode::BAR;
-                if (drainOp ? w.scoreboard.anyPending()
-                            : !w.scoreboard.ready(inst)) {
-                    w.sbBlocked = true;
-                    sawHazard = true;
-                    continue;
-                }
-                if (!drainOp && inst.usesCollector() && !cuFree) {
-                    sawNoCu = true;
-                    continue;
-                }
-                candidates_.push_back(slot);
-            }
-            if (candidates_.empty()) {
+            std::uint64_t live = table.bound & ~m.parked;
+            bool sawWarp = holdsWaitingWarp(table.bound, m);
+            m.blocked |= testHazards(live & ~m.blocked & ~m.ready, warps,
+                                     m);
+            std::uint64_t ready = live & m.ready;
+            std::uint64_t cand = cuFree ? ready : ready & ~m.needsCu;
+            if (cand == 0) {
                 if (slotIssue == 0) {
-                    if (sawNoCu) {
+                    // Ready warps that all need a CU: no-CU stall.  A warp
+                    // that just failed the hazard test was live, so
+                    // sawWarp already counts it.
+                    if (ready != 0) {
                         ++sm.stats().stallNoCu;
                         ++sm.stats().collectorFullStalls;
-                    } else if (sawHazard) {
+                    } else if (sawWarp) {
                         ++sm.stats().stallScoreboard;
-                    } else if (!sawWarp) {
-                        ++sm.stats().stallNoWarp;
                     } else {
-                        ++sm.stats().stallScoreboard;
+                        ++sm.stats().stallNoWarp;
                     }
                 }
                 break;
             }
+            candidates_.clear();
+            collectCandidates(table.slots, cand);
             ++sm.stats().issueSlotsUsed;
             WarpSlot chosen = policy.pick(candidates_, ctx);
             issueTo(now, sm, s, chosen);
             policy.notifyIssued(chosen, now);
             ++issued;
         }
-        if (cfg_.bankStealing) {
+        if (cfg_.bankStealing && collector_.hasFree()) {
             // Bank stealing [36]: opportunistically place one extra
             // instruction whose source banks are all idle into a free
-            // CU, ahead of normal issue order.
-            candidates_.clear();
-            const bool cuFree = collector_.hasFree();
-            for (WarpSlot slot : schedWarps_[static_cast<std::size_t>(s)]) {
-                const WarpContext &w = warps[slot];
-                if (!candidateReadyWith(w, cuFree))
-                    continue;
-                const Instruction &inst = w.nextInst();
-                if (!inst.usesCollector())
-                    continue;
-                if (cuFree
-                    && collector_.banksIdle(slot, inst, arbiter_)) {
-                    candidates_.push_back(slot);
-                }
-            }
-            if (!candidates_.empty()) {
-                // Oldest eligible warp steals the idle banks.
-                WarpSlot chosen = candidates_.front();
-                for (WarpSlot slot : candidates_)
-                    if (warps[slot].ageRank < warps[chosen].ageRank)
-                        chosen = slot;
+            // CU, ahead of normal issue order.  This scan marks no warp
+            // blocked: the migration oracle reads that bit.
+            std::uint64_t live = table.bound & ~m.parked & ~m.blocked;
+            testHazards(live & ~m.ready, warps, m);
+            std::uint64_t eligible = live & m.ready & m.needsCu;
+            // Oldest eligible warp whose banks are idle steals them.
+            WarpSlot chosen = kNoWarp;
+            for (WarpSlot slot : table.slots)
+                if ((eligible & slotBit(slot))
+                    && collector_.banksIdle(slot, warps[slot].nextInst(),
+                                            arbiter_)
+                    && (chosen == kNoWarp
+                        || warps[slot].ageRank < warps[chosen].ageRank))
+                    chosen = slot;
+            if (chosen != kNoWarp) {
                 issueTo(now, sm, s, chosen);
                 ++issued;
                 ++sm.stats().issueSlotsUsed;
@@ -378,6 +419,10 @@ IssueCluster::issueTo(Cycle now, SmCore &sm, int sched, WarpSlot slot)
     const Instruction &inst = warp.nextInst();
     warp.lastIssue = now;
     ++warp.pc;
+    // The next instruction has not been seen yet.
+    WarpMasks &m = sm.masks();
+    m.ready &= ~slotBit(slot);
+    m.needsCu &= ~slotBit(slot);
     sm.noteIssue(id_, sched);
 
     switch (inst.op) {
@@ -412,11 +457,53 @@ IssueCluster::hasImmediateWork(const SmCore &sm) const
             return true;
     const WarpContext *warps = sm.warpTable();
     const bool cuFree = collector_.hasFree();
-    for (const auto &list : schedWarps_)
-        for (WarpSlot slot : list)
+    for (const SchedTable &table : tables_)
+        for (WarpSlot slot : table.slots)
             if (candidateReadyWith(warps[slot], cuFree))
                 return true;
     return false;
+}
+
+std::uint64_t
+IssueCluster::auditMasks(const SmCore &sm) const
+{
+    const WarpContext *warps = sm.warpTable();
+    const WarpMasks &m = sm.masks();
+    std::uint64_t all = 0;
+    for (int s = 0; s < numSchedulers(); ++s) {
+        std::uint64_t fromList = 0;
+        for (WarpSlot slot : warpsOf(s)) {
+            scsim_assert(slot >= 0 && slot < cfg_.maxWarpsPerSm
+                             && !(fromList & slotBit(slot)),
+                         "cluster %d sched %d: bad or repeated slot %d",
+                         id_, s, slot);
+            fromList |= slotBit(slot);
+            const WarpContext &w = warps[slot];
+            scsim_assert(w.cluster == id_ && w.schedInCluster == s,
+                         "warp %d bound to %d/%d but says %d/%d", slot,
+                         id_, s, w.cluster, w.schedInCluster);
+            // Hazard-blocked: still schedulable and still not ready.
+            if (m.blocked & slotBit(slot))
+                scsim_assert(w.schedulable()
+                                 && !candidateReadyWith(w, true),
+                             "warp %d blocked without a hazard", slot);
+            if (m.ready & slotBit(slot)) {
+                scsim_assert(candidateReadyWith(w, true),
+                             "warp %d marked ready but is not", slot);
+                scsim_assert(static_cast<bool>(m.needsCu & slotBit(slot))
+                                 == w.nextInst().usesCollector(),
+                             "warp %d needsCu bit is stale", slot);
+            }
+        }
+        scsim_assert(fromList == boundMask(s),
+                     "cluster %d sched %d: bound mask %llx, list %llx",
+                     id_, s, static_cast<unsigned long long>(boundMask(s)),
+                     static_cast<unsigned long long>(fromList));
+        scsim_assert(!(all & fromList), "cluster %d binds a warp twice",
+                     id_);
+        all |= fromList;
+    }
+    return all;
 }
 
 void
@@ -427,9 +514,8 @@ IssueCluster::reset()
     pipes_.reset();
     for (auto &sched : scheds_)
         sched->reset();
-    for (auto &list : schedWarps_)
-        list.clear();
-    std::fill(ageCounter_.begin(), ageCounter_.end(), 0u);
+    for (SchedTable &table : tables_)
+        table = SchedTable{};
     onIdleSkip();
     head_ = 0;
     asleep_ = false;
@@ -446,13 +532,13 @@ IssueCluster::saveState(StateWriter &w) const
     pipes_.saveState(w);
     for (const auto &sched : scheds_)
         sched->saveState(w);
-    for (const auto &list : schedWarps_) {
-        w.u64("ic.warps", list.size());
-        for (WarpSlot slot : list)
+    for (const SchedTable &table : tables_) {
+        w.u64("ic.warps", table.slots.size());
+        for (WarpSlot slot : table.slots)
             w.i64("ic.slot", slot);
     }
-    for (std::uint32_t age : ageCounter_)
-        w.u64("ic.age", age);
+    for (const SchedTable &table : tables_)
+        w.u64("ic.age", table.nextAge);
     for (int qlen : qlenRing_)
         w.i64("ic.qlen", qlen);
     w.u64("ic.head", head_);
@@ -466,14 +552,31 @@ IssueCluster::loadState(StateReader &r)
     pipes_.loadState(r);
     for (auto &sched : scheds_)
         sched->loadState(r);
-    for (auto &list : schedWarps_) {
-        list.clear();
+    // Slots index the SM's warp table and shift into the masks, so a
+    // damaged one must be refused here, not used.
+    std::uint64_t seen = 0;
+    for (SchedTable &table : tables_) {
+        table.slots.clear();
+        table.bound = 0;
         std::uint64_t n = r.u64("ic.warps");
-        for (std::uint64_t i = 0; i < n; ++i)
-            list.push_back(static_cast<WarpSlot>(r.i64("ic.slot")));
+        for (std::uint64_t i = 0; i < n; ++i) {
+            std::int64_t slot = r.i64("ic.slot");
+            if (slot < 0 || slot >= cfg_.maxWarpsPerSm)
+                scsim_throw(CacheError,
+                            "snapshot: bound warp slot %lld out of range",
+                            static_cast<long long>(slot));
+            auto bit = slotBit(static_cast<WarpSlot>(slot));
+            if (seen & bit)
+                scsim_throw(CacheError,
+                            "snapshot: warp slot %lld bound twice",
+                            static_cast<long long>(slot));
+            seen |= bit;
+            table.slots.push_back(static_cast<WarpSlot>(slot));
+            table.bound |= bit;
+        }
     }
-    for (std::uint32_t &age : ageCounter_)
-        age = static_cast<std::uint32_t>(r.u64("ic.age"));
+    for (SchedTable &table : tables_)
+        table.nextAge = static_cast<std::uint32_t>(r.u64("ic.age"));
     for (int &qlen : qlenRing_)
         qlen = static_cast<int>(r.i64("ic.qlen"));
     head_ = r.u64("ic.head");

@@ -13,6 +13,12 @@
  * bank-queue lengths for the RBA staleness model at its start) ->
  * arbitrate register banks and apply the grants.
  *
+ * Each scheduler table keeps its warps both as a list (binding order,
+ * which is the candidate order schedulers see) and as a slot mask; an
+ * issue scan combines the mask with SmCore's WarpMasks, so it runs the
+ * scoreboard test only on warps whose next instruction it has not yet
+ * seen hazard-free (DESIGN.md §4.1).
+ *
  * A cycle with nothing to do (no issue, no grant, no queued bank
  * request, no busy CU) leaves the cluster frozen until something
  * outside it changes its warps or queues.  With idle skipping on, the
@@ -55,7 +61,14 @@ class IssueCluster
     const std::vector<WarpSlot> &
     warpsOf(int sched) const
     {
-        return schedWarps_[static_cast<std::size_t>(sched)];
+        return tables_[static_cast<std::size_t>(sched)].slots;
+    }
+
+    /** The same warps as a slot mask. */
+    std::uint64_t
+    boundMask(int sched) const
+    {
+        return tables_[static_cast<std::size_t>(sched)].bound;
     }
 
     int warpCount(int sched) const;
@@ -89,8 +102,15 @@ class IssueCluster
     void onIdleSkip();
 
     /** Anything in flight or issuable right now?  Sanitizer builds
-     *  check that a sleeping cluster never has any. */
+     *  check that a sleeping cluster never has any.  Walks the lists
+     *  and never reads the masks, so it stays an independent
+     *  reference for them. */
     bool hasImmediateWork(const SmCore &sm) const;
+
+    /** Sanitizer builds: check this cluster's bound masks against its
+     *  lists, and every mask bit of its warps against WarpContext;
+     *  returns the union of the bound masks. */
+    std::uint64_t auditMasks(const SmCore &sm) const;
 
     void reset();
 
@@ -109,12 +129,21 @@ class IssueCluster
     void sleepTick(SmCore &sm);
 
     /**
-     * Ready-to-issue test for one warp's next instruction.  The
-     * collector-free test is hoisted out: within one candidate scan no
-     * CU is allocated, so callers evaluate collector_.hasFree() once
-     * instead of per warp.
+     * Reference ready-to-issue test for one warp's next instruction,
+     * from WarpContext alone (the audit and hasImmediateWork use it;
+     * the issue scans use the masks).  The collector-free test is
+     * hoisted out: within one candidate scan no CU is allocated, so
+     * callers evaluate collector_.hasFree() once instead of per warp.
      */
     bool candidateReadyWith(const WarpContext &warp, bool cuFree) const;
+
+    /** Union of the scheduler tables' bound masks. */
+    std::uint64_t boundAll() const;
+
+    /** Append the warps of @p cand (a subset of @p slots) to
+     *  candidates_ in list order. */
+    void collectCandidates(const std::vector<WarpSlot> &slots,
+                           std::uint64_t cand);
 
     /** Queue lengths as seen by the scheduler (staleness applied). */
     const int *staleQueueView() const;
@@ -136,8 +165,15 @@ class IssueCluster
     OperandCollector collector_;
     PipeSet pipes_;
     std::vector<std::unique_ptr<WarpScheduler>> scheds_;
-    std::vector<std::vector<WarpSlot>> schedWarps_;
-    std::vector<std::uint32_t> ageCounter_;
+
+    /** One scheduler's warp table. */
+    struct SchedTable
+    {
+        std::vector<WarpSlot> slots;   //!< bound warps, binding order
+        std::uint64_t bound = 0;       //!< the same warps as a mask
+        std::uint32_t nextAge = 0;     //!< age rank of the next binding
+    };
+    std::vector<SchedTable> tables_;
 
     /**
      * Ring of bank-queue-length snapshots, newest row at head_.  Flat

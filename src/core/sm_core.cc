@@ -1,6 +1,7 @@
 #include "core/sm_core.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -174,6 +175,7 @@ SmCore::acceptBlock(const KernelDesc &kernel, int blockId, Cycle now)
         warp.regBytes = regBytes;
         regBytesUsed_[static_cast<std::size_t>(c)] += regBytes;
         block->slots.push_back(slot);
+        refreshParked(slot);
     }
     hadWork_ = true;
 }
@@ -208,6 +210,41 @@ SmCore::cycle(Cycle now)
     for (auto &cluster : clusters_)
         active = cluster->cycle(now, *this) || active;
     hadWork_ = active;
+#ifdef SCSIM_AUDIT
+    auditMasks();
+#endif
+}
+
+void
+SmCore::refreshParked(WarpSlot slot)
+{
+    if (warps_[static_cast<std::size_t>(slot)].schedulable())
+        masks_.parked &= ~slotBit(slot);
+    else
+        masks_.parked |= slotBit(slot);
+}
+
+void
+SmCore::auditMasks() const
+{
+    std::uint64_t bound = 0;
+    for (const auto &cluster : clusters_) {
+        std::uint64_t own = cluster->auditMasks(*this);
+        scsim_assert(!(bound & own), "SM %d binds a warp twice", smId_);
+        bound |= own;
+    }
+    for (int slot = 0; slot < cfg_.maxWarpsPerSm; ++slot)
+        scsim_assert(static_cast<bool>(masks_.parked & slotBit(slot))
+                         != warps_[static_cast<std::size_t>(slot)]
+                                .schedulable(),
+                     "SM %d warp %d: stale parked bit", smId_, slot);
+    scsim_assert(!((masks_.blocked | masks_.ready | masks_.needsCu)
+                   & ~bound),
+                 "SM %d: mask bits on unbound warps", smId_);
+    scsim_assert(!(masks_.needsCu & ~masks_.ready)
+                     && !(masks_.blocked & masks_.ready),
+                 "SM %d: needsCu outside ready, or blocked and ready",
+                 smId_);
 }
 
 void
@@ -215,19 +252,18 @@ SmCore::migrateForBalance()
 {
     int nsched = cfg_.schedulersPerSm;
     int perCluster = cfg_.schedulersPerCluster();
-    // Runnable warps per global scheduler.
-    std::vector<int> runnable(static_cast<std::size_t>(nsched), 0);
+    // Runnable (schedulable, not hazard-blocked) warps of a global
+    // scheduler, as a mask.  A move changes only the bound masks, so
+    // the counts below always reflect the moves made so far.
+    const std::uint64_t stuck = masks_.parked | masks_.blocked;
+    auto runnableOf = [&](int g) {
+        return clusters_[static_cast<std::size_t>(g / perCluster)]
+                   ->boundMask(g % perCluster)
+            & ~stuck;
+    };
+    auto runnable = [&](int g) { return std::popcount(runnableOf(g)); };
     for (int g = 0; g < nsched; ++g) {
-        const IssueCluster &cluster =
-            *clusters_[static_cast<std::size_t>(g / perCluster)];
-        for (WarpSlot slot : cluster.warpsOf(g % perCluster)) {
-            const WarpContext &w = warps_[static_cast<std::size_t>(slot)];
-            if (w.schedulable() && !w.sbBlocked)
-                ++runnable[static_cast<std::size_t>(g)];
-        }
-    }
-    for (int g = 0; g < nsched; ++g) {
-        if (runnable[static_cast<std::size_t>(g)] != 0)
+        if (runnable(g) != 0)
             continue;
         int gc = g / perCluster;
         IssueCluster &dstCluster =
@@ -235,22 +271,23 @@ SmCore::migrateForBalance()
         // Donor: the most loaded scheduler with at least two runnable.
         int donor = -1;
         for (int d = 0; d < nsched; ++d)
-            if (runnable[static_cast<std::size_t>(d)] >= 2
-                && (donor < 0
-                    || runnable[static_cast<std::size_t>(d)]
-                           > runnable[static_cast<std::size_t>(donor)]))
+            if (runnable(d) >= 2
+                && (donor < 0 || runnable(d) > runnable(donor)))
                 donor = d;
         if (donor < 0)
             break;
         int dc = donor / perCluster;
         IssueCluster &srcCluster =
             *clusters_[static_cast<std::size_t>(dc)];
-        WarpSlot victim = kNoWarp;
-        for (WarpSlot slot : srcCluster.warpsOf(donor % perCluster)) {
-            const WarpContext &w = warps_[static_cast<std::size_t>(slot)];
-            if (w.schedulable() && !w.sbBlocked)
-                victim = slot;   // youngest runnable
-        }
+        // Youngest runnable: the last one in the donor's list.
+        const std::vector<WarpSlot> &donorList =
+            srcCluster.warpsOf(donor % perCluster);
+        std::uint64_t donorRunnable = runnableOf(donor);
+        auto it = std::find_if(donorList.rbegin(), donorList.rend(),
+                               [&](WarpSlot slot) {
+                                   return donorRunnable & slotBit(slot);
+                               });
+        WarpSlot victim = it == donorList.rend() ? kNoWarp : *it;
         if (victim == kNoWarp)
             continue;
         WarpContext &w = warps_[static_cast<std::size_t>(victim)];
@@ -269,8 +306,6 @@ SmCore::migrateForBalance()
         // register storage remains a hard constraint above.
         w.ageRank = dstCluster.addWarp(g % perCluster, victim,
                                        /*unchecked=*/true);
-        --runnable[static_cast<std::size_t>(donor)];
-        ++runnable[static_cast<std::size_t>(g)];
         ++stats_.warpMigrations;
         hadWork_ = true;
     }
@@ -331,7 +366,7 @@ SmCore::completeRegWrite(WarpSlot warp, RegIndex reg)
 {
     WarpContext &w = warps_[static_cast<std::size_t>(warp)];
     w.scoreboard.completeWrite(reg);
-    w.sbBlocked = false;
+    masks_.blocked &= ~slotBit(warp);
     // After a migration the grant lands in the warp's old cluster.
     clusters_[static_cast<std::size_t>(w.cluster)]->wake();
 }
@@ -342,6 +377,7 @@ SmCore::releaseBarrier(BlockState &block)
     for (WarpSlot slot : block.slots) {
         WarpContext &warp = warps_[static_cast<std::size_t>(slot)];
         warp.atBarrier = false;
+        refreshParked(slot);
         clusters_[static_cast<std::size_t>(warp.cluster)]->wake();
     }
     block.barrierArrived = 0;
@@ -355,6 +391,7 @@ SmCore::warpBarrier(WarpSlot slot)
     WarpContext &warp = warps_[static_cast<std::size_t>(slot)];
     BlockState &block = blocks_[static_cast<std::size_t>(warp.blockSeq)];
     warp.atBarrier = true;
+    masks_.parked |= slotBit(slot);
     ++block.barrierArrived;
     if (block.barrierArrived == block.warpsTotal - block.warpsExited)
         releaseBarrier(block);
@@ -370,6 +407,8 @@ SmCore::completeBlock(BlockState &block)
             ->removeWarp(warp.schedInCluster, slot);
         regBytesUsed_[static_cast<std::size_t>(warp.cluster)] -= regBytes;
         warp.reset();
+        masks_.forget(slot);
+        masks_.parked |= slotBit(slot);
         freeSlots_.push_back(slot);
     }
     smemUsed_ -= block.kernel->smemBytesPerBlock;
@@ -384,6 +423,7 @@ SmCore::warpExit(WarpSlot slot, Cycle)
     WarpContext &warp = warps_[static_cast<std::size_t>(slot)];
     BlockState &block = blocks_[static_cast<std::size_t>(warp.blockSeq)];
     warp.exited = true;
+    masks_.parked |= slotBit(slot);
     ++block.warpsExited;
     ++stats_.warpsCompleted;
     // The barrier threshold shrank; a waiting barrier may now release.
@@ -427,6 +467,7 @@ SmCore::reset()
 {
     for (auto &warp : warps_)
         warp.reset();
+    masks_ = WarpMasks{};
     freeSlots_.clear();
     for (int i = cfg_.maxWarpsPerSm - 1; i >= 0; --i)
         freeSlots_.push_back(i);
@@ -474,8 +515,11 @@ void
 SmCore::saveState(StateWriter &w, const Application &app) const
 {
     // l1PortsLeft_ is reset at the top of every cycle() and rfTrace_
-    // is derived from the config; neither is snapshotted.
+    // is derived from the config; neither is snapshotted.  Of the
+    // masks only `blocked` is state (as each warp's sbBlocked field);
+    // the others are derived and rebuilt on load.
     for (const WarpContext &warp : warps_) {
+        auto bit = slotBit(static_cast<WarpSlot>(&warp - warps_.data()));
         w.i64("warp.slot", warp.slot);
         w.i64("warp.blockSeq", warp.blockSeq);
         w.i64("warp.inBlock", warp.warpInBlock);
@@ -490,7 +534,7 @@ SmCore::saveState(StateWriter &w, const Application &app) const
         w.u64("warp.pc", warp.pc);
         w.u64("warp.memIter", warp.memIter);
         w.u64("warp.lastIssue", warp.lastIssue);
-        w.b("warp.sbBlocked", warp.sbBlocked);
+        w.b("warp.sbBlocked", (masks_.blocked & bit) != 0);
         warp.scoreboard.saveState(w);
     }
     w.u64("sm.freeSlots", freeSlots_.size());
@@ -528,13 +572,23 @@ SmCore::saveState(StateWriter &w, const Application &app) const
 void
 SmCore::loadState(StateReader &r, const Application &app)
 {
+    masks_ = WarpMasks{};
     for (WarpContext &warp : warps_) {
         warp.slot = static_cast<WarpSlot>(r.i64("warp.slot"));
         warp.blockSeq = static_cast<int>(r.i64("warp.blockSeq"));
         warp.warpInBlock = static_cast<int>(r.i64("warp.inBlock"));
         warp.gwid = r.u64("warp.gwid");
-        warp.cluster = static_cast<int>(r.i64("warp.cluster"));
-        warp.schedInCluster = static_cast<int>(r.i64("warp.sched"));
+        std::int64_t cluster = r.i64("warp.cluster");
+        std::int64_t sched = r.i64("warp.sched");
+        // Later used as indices: -1 marks an unbound (free) slot.
+        if (cluster < -1 || cluster >= numClusters() || sched < 0
+            || sched >= cfg_.schedulersPerCluster())
+            scsim_throw(CacheError,
+                        "snapshot: warp sub-core %lld/%lld out of range",
+                        static_cast<long long>(cluster),
+                        static_cast<long long>(sched));
+        warp.cluster = static_cast<int>(cluster);
+        warp.schedInCluster = static_cast<int>(sched);
         warp.ageRank = static_cast<std::uint32_t>(r.u64("warp.ageRank"));
         warp.regBytes =
             static_cast<std::uint32_t>(r.u64("warp.regBytes"));
@@ -544,14 +598,22 @@ SmCore::loadState(StateReader &r, const Application &app)
         warp.pc = static_cast<std::uint32_t>(r.u64("warp.pc"));
         warp.memIter = r.u64("warp.memIter");
         warp.lastIssue = r.u64("warp.lastIssue");
-        warp.sbBlocked = r.b("warp.sbBlocked");
+        if (r.b("warp.sbBlocked"))
+            masks_.blocked |= slotBit(
+                static_cast<WarpSlot>(&warp - warps_.data()));
         warp.scoreboard.loadState(r);
         warp.prog = nullptr;   // re-resolved from the block table below
     }
+    auto checkSlot = [&](std::int64_t slot) {
+        if (slot < 0 || slot >= static_cast<std::int64_t>(warps_.size()))
+            scsim_throw(CacheError, "snapshot: warp slot %lld out of range",
+                        static_cast<long long>(slot));
+        return static_cast<WarpSlot>(slot);
+    };
     freeSlots_.clear();
     std::uint64_t nFree = r.u64("sm.freeSlots");
     for (std::uint64_t i = 0; i < nFree; ++i)
-        freeSlots_.push_back(static_cast<WarpSlot>(r.i64("sm.freeSlot")));
+        freeSlots_.push_back(checkSlot(r.i64("sm.freeSlot")));
     for (BlockState &block : blocks_) {
         block.live = r.b("blk.live");
         block.blockId = static_cast<int>(r.i64("blk.id"));
@@ -573,11 +635,8 @@ SmCore::loadState(StateReader &r, const Application &app)
         if (!block.live)
             continue;
         for (WarpSlot slot : block.slots) {
-            if (slot < 0
-                || slot >= static_cast<WarpSlot>(warps_.size()))
-                scsim_throw(CacheError,
-                            "snapshot: warp slot %d out of range", slot);
-            WarpContext &warp = warps_[static_cast<std::size_t>(slot)];
+            WarpContext &warp = warps_[static_cast<std::size_t>(
+                checkSlot(slot))];
             if (warp.warpInBlock < 0
                 || warp.warpInBlock >= block.kernel->warpsPerBlock)
                 scsim_throw(CacheError,
@@ -586,8 +645,32 @@ SmCore::loadState(StateReader &r, const Application &app)
             warp.prog = &block.kernel->programOf(warp.warpInBlock);
         }
     }
-    for (auto &cluster : clusters_)
+    for (WarpSlot slot = 0; slot < cfg_.maxWarpsPerSm; ++slot)
+        refreshParked(slot);
+    // Each cluster refuses bad or repeated slots in its own tables;
+    // across clusters a slot may be bound once, to the table its warp
+    // names.
+    std::uint64_t bound = 0;
+    for (auto &cluster : clusters_) {
         cluster->loadState(r);
+        for (int s = 0; s < cluster->numSchedulers(); ++s) {
+            if (bound & cluster->boundMask(s))
+                scsim_throw(CacheError,
+                            "snapshot: a warp slot is bound twice");
+            bound |= cluster->boundMask(s);
+            for (WarpSlot slot : cluster->warpsOf(s)) {
+                const WarpContext &warp =
+                    warps_[static_cast<std::size_t>(slot)];
+                if (warp.cluster != cluster->id()
+                    || warp.schedInCluster != s)
+                    scsim_throw(CacheError,
+                                "snapshot: warp %d bound to sub-core "
+                                "%d/%d but names %d/%d",
+                                slot, cluster->id(), s, warp.cluster,
+                                warp.schedInCluster);
+            }
+        }
+    }
     assigner_->loadState(r);
     for (std::uint32_t &used : regBytesUsed_)
         used = static_cast<std::uint32_t>(r.u64("sm.regBytesUsed"));
@@ -598,7 +681,11 @@ SmCore::loadState(StateReader &r, const Application &app)
     for (std::uint64_t i = 0; i < nEvents; ++i) {
         RegWriteEvent ev;
         ev.when = r.u64("ev.when");
-        ev.warp = static_cast<WarpSlot>(r.i64("ev.warp"));
+        ev.warp = checkSlot(r.i64("ev.warp"));
+        if (warps_[static_cast<std::size_t>(ev.warp)].cluster < 0)
+            scsim_throw(CacheError,
+                        "snapshot: writeback for unbound warp %d",
+                        ev.warp);
         ev.reg = static_cast<RegIndex>(r.i64("ev.reg"));
         events_.push_back(ev);
     }

@@ -73,6 +73,8 @@ class SmCore
     // ---- callbacks used by IssueCluster -------------------------------
     WarpContext *warpTable() { return warps_.data(); }
     const WarpContext *warpTable() const { return warps_.data(); }
+    WarpMasks &masks() { return masks_; }
+    const WarpMasks &masks() const { return masks_; }
 
     bool tryConsumeL1Port();
     Cycle issueMemory(WarpContext &warp, const Instruction &inst,
@@ -125,6 +127,11 @@ class SmCore
     void releaseBarrier(BlockState &block);
     void completeBlock(BlockState &block);
     int pickSpillScheduler(std::uint32_t regBytes) const;
+    /** Re-derive @p slot's parked bit after a schedulability change. */
+    void refreshParked(WarpSlot slot);
+    /** Sanitizer builds: recompute every mask from the scheduler lists
+     *  and WarpContext and panic on any disagreement. */
+    void auditMasks() const;
 
     const GpuConfig &cfg_;
     int smId_;
@@ -132,6 +139,7 @@ class SmCore
     SimStats &stats_;
 
     std::vector<WarpContext> warps_;
+    WarpMasks masks_;
     std::vector<WarpSlot> freeSlots_;
     std::vector<BlockState> blocks_;
     std::vector<std::unique_ptr<IssueCluster>> clusters_;

@@ -34,10 +34,6 @@ struct WarpContext
     std::uint32_t pc = 0;
     std::uint64_t memIter = 0;    //!< dynamic memory access counter
     Cycle lastIssue = 0;
-    /** Sticky hazard marker: the next instruction was seen blocked on
-     *  the scoreboard; cleared when any of this warp's writes retires.
-     *  Pure scan optimization — never affects scheduling order. */
-    bool sbBlocked = false;
     Scoreboard scoreboard;
 
     bool
@@ -63,6 +59,46 @@ struct WarpContext
     reset()
     {
         *this = WarpContext{};
+    }
+};
+
+/** Bit of warp slot @p slot in a slot-indexed mask. */
+constexpr std::uint64_t
+slotBit(WarpSlot slot)
+{
+    return std::uint64_t{ 1 } << slot;
+}
+
+/**
+ * One SM's per-warp scheduling facts as slot-indexed bitmasks (bit i
+ * is warp slot i; GpuConfig::validate caps maxWarpsPerSm at 64), so
+ * an issue scan selects candidates with word operations and runs the
+ * scoreboard test only on warps whose state changed (DESIGN.md §4.1).
+ */
+struct WarpMasks
+{
+    /** Sticky hazard marker: a non-shared issue scan saw the next
+     *  instruction blocked on the scoreboard; cleared when any of the
+     *  warp's writes retires.  Set lazily, never eagerly: the
+     *  ideal-migration oracle counts these warps as not runnable, so
+     *  when the bit is set decides which warps migrate. */
+    std::uint64_t blocked = 0;
+    /** !schedulable(): empty slot, exited, or waiting at a barrier. */
+    std::uint64_t parked = ~std::uint64_t{ 0 };
+    /** The next instruction was already seen hazard-free.  It stays so
+     *  until the warp issues it (a retiring write only makes a warp
+     *  more ready), so only issueTo clears the bit. */
+    std::uint64_t ready = 0;
+    /** The subset of `ready` whose instruction needs a collector unit. */
+    std::uint64_t needsCu = 0;
+
+    /** The warp in @p slot is gone: drop what scans learned about it. */
+    void
+    forget(WarpSlot slot)
+    {
+        blocked &= ~slotBit(slot);
+        ready &= ~slotBit(slot);
+        needsCu &= ~slotBit(slot);
     }
 };
 

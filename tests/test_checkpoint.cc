@@ -30,6 +30,7 @@
 
 #include "common/fault_inject.hh"
 #include "common/sim_error.hh"
+#include "expect_throw.hh"
 #include "runner/design.hh"
 #include "runner/job_key.hh"
 #include "runner/journal.hh"
@@ -267,6 +268,140 @@ TEST_F(CheckpointTest, ResumeRejectsDamagedPayload)
     Application app = wrapKernel(microWorkload("conflict:0"));
     EXPECT_THROW(engine.sim().resume(app, "not a state payload\n"),
                  CacheError);
+}
+
+/** Position of the value of the @p nth `key value` line of @p payload
+ *  (npos when there is no such line). */
+std::size_t
+fieldAt(const std::string &payload, const std::string &key, int nth)
+{
+    const std::string tag = "\n" + key + " ";
+    std::size_t pos = 0;
+    for (int i = 0; i <= nth; ++i) {
+        pos = payload.find(tag, i == 0 ? 0 : pos + 1);
+        if (pos == std::string::npos)
+            return pos;
+    }
+    return pos + tag.size();
+}
+
+std::string
+getField(const std::string &payload, const std::string &key, int nth)
+{
+    std::size_t at = fieldAt(payload, key, nth);
+    if (at == std::string::npos) {
+        ADD_FAILURE() << "no line " << nth << " keyed " << key;
+        return {};
+    }
+    return payload.substr(at, payload.find('\n', at) - at);
+}
+
+std::string
+setField(std::string payload, const std::string &key, int nth,
+         const std::string &value)
+{
+    std::size_t at = fieldAt(payload, key, nth);
+    if (at == std::string::npos) {
+        ADD_FAILURE() << "no line " << nth << " keyed " << key;
+        return payload;
+    }
+    payload.replace(at, payload.find('\n', at) - at, value);
+    return payload;
+}
+
+TEST_F(CheckpointTest, ResumeRejectsDamagedWarpBindings)
+{
+    // Warp slots and sub-core indices index the warp table, the
+    // clusters and the warp masks, so each kind of damage must be
+    // refused with CacheError before any of them is used.  This micro
+    // fills half of each SM, so its snapshots hold free slots too.
+    KernelDesc kernel = microWorkload("conflict:0");
+    std::vector<std::string> snaps;
+    SimEngine full(goldenBase());
+    sim::EngineObserver obs;
+    obs.onCheckpoint = [&](const std::string &payload, Cycle) {
+        snaps.push_back(payload);
+    };
+    full.addObserver(std::move(obs));
+    full.setCheckpointInterval(2000);
+    full.run(kernel);
+    ASSERT_FALSE(snaps.empty());
+    const std::string snap = snaps[snaps.size() / 2];
+    int bound = 0;   // first warp bound to a sub-core
+    while (std::stoi(getField(snap, "warp.cluster", bound)) < 0)
+        ++bound;
+    int boundCluster = std::stoi(getField(snap, "warp.cluster", bound));
+
+    struct Damage
+    {
+        const char *what;
+        std::string payload;
+        const char *error;
+    };
+    const Damage cases[] = {
+        { "slot past the table", setField(snap, "ic.slot", 0, "64"),
+          "out of range" },
+        { "negative slot", setField(snap, "ic.slot", 0, "-1"),
+          "out of range" },
+        { "slot bound twice",
+          setField(snap, "ic.slot", 1, getField(snap, "ic.slot", 0)),
+          "bound twice" },
+        { "cluster past the SM", setField(snap, "warp.cluster", 0, "4"),
+          "out of range" },
+        { "negative cluster", setField(snap, "warp.cluster", 0, "-2"),
+          "out of range" },
+        { "scheduler past the cluster",
+          setField(snap, "warp.sched", 0, "1"), "out of range" },
+        { "warp names another sub-core",
+          setField(snap, "warp.cluster", bound,
+                   std::to_string((boundCluster + 1) % 4)),
+          "but names" },
+        { "free slot past the table",
+          setField(snap, "sm.freeSlot", 0, "64"), "out of range" },
+        { "writeback for a slot past the table",
+          setField(snap, "ev.warp", 0, "99"), "out of range" },
+    };
+    Application app = wrapKernel(kernel);
+    for (const Damage &d : cases) {
+        SCOPED_TRACE(d.what);
+        ASSERT_TRUE(d.payload != snap);
+        SimEngine engine(goldenBase());
+        EXPECT_THROW_WITH(engine.sim().resume(app, d.payload), CacheError,
+                          d.error);
+    }
+    EXPECT_EQ(runner::kSnapshotVersion, 1u);
+}
+
+TEST_F(CheckpointTest, SnapshotWithBlockedAndBarrierWarpsResumesExactly)
+{
+    // At cycle 24000 of this run some warps are hazard-blocked and
+    // others wait at a barrier.  The blocked bit is state, saved as each
+    // warp's sbBlocked field: under the migration oracle, resuming this
+    // snapshot without it moves other warps and changes the result.  The
+    // other warp masks are derived and rebuilt on load.
+    AppSpec spec = findApp("tpcC-q2", 0.05);
+    GpuConfig migrating = goldenBase();
+    migrating.idealWarpMigration = true;
+    for (const GpuConfig &cfg : { goldenBase(), migrating }) {
+        SCOPED_TRACE(cfg.idealWarpMigration ? "migration" : "baseline");
+        SimEngine full(cfg);
+        std::string snap;
+        sim::EngineObserver obs;
+        obs.onCheckpoint = [&](const std::string &payload, Cycle now) {
+            if (now == 24000)
+                snap = payload;
+        };
+        full.addObserver(std::move(obs));
+        full.setCheckpointInterval(24000);
+        SimStats ref = full.runApp(spec);
+        ASSERT_FALSE(snap.empty());
+        EXPECT_NE(snap.find("\nwarp.sbBlocked 1\n"), std::string::npos);
+        EXPECT_NE(snap.find("\nwarp.atBarrier 1\n"), std::string::npos);
+
+        SimStats got = SimEngine(cfg).resumeApp(spec, 0, snap);
+        EXPECT_EQ(sim::statsFingerprintHex(got),
+                  sim::statsFingerprintHex(ref));
+    }
 }
 
 // ---- golden determinism matrix: snapshot + resume == uninterrupted ----

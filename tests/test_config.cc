@@ -99,6 +99,16 @@ TEST(GpuConfigThrow, ValidateCatchesBadHashTable)
     EXPECT_THROW_WITH(c.validate(), ConfigError, "hashTableEntries");
 }
 
+TEST(GpuConfigThrow, ValidateCatchesMoreWarpsThanOneMaskWord)
+{
+    GpuConfig c;
+    c.maxWarpsPerSm = 65;
+    c.maxWarpsPerScheduler = 32;   // tables could hold them
+    EXPECT_THROW_WITH(c.validate(), ConfigError, "maxWarpsPerSm");
+    c.maxWarpsPerSm = 64;
+    EXPECT_NO_THROW(c.validate());
+}
+
 TEST(GpuConfigThrow, ValidateCatchesTinySchedulerTables)
 {
     GpuConfig c;

@@ -168,7 +168,27 @@ INSTANTIATE_TEST_SUITE_P(
                   "19edb3a6f5cf68f5" },
         SkipCase{ "BankStealing",
                   withFlag(smallVolta(2), &GpuConfig::bankStealing),
-                  "af933277c96d66f5" }),
+                  "af933277c96d66f5" },
+        // LRR picks by position in the candidate list, so these two
+        // pin the candidate order: the shared pool's concatenation of
+        // tables under dual issue, and the lists the migration oracle
+        // rewrites.
+        SkipCase{ "KeplerSharedWarpPoolLRR",
+                  [] {
+                      GpuConfig cfg = GpuConfig::keplerLike();
+                      cfg.numSms = 2;
+                      cfg.scheduler = SchedulerPolicy::LRR;
+                      return cfg;
+                  }(),
+                  "22c6f76834a71e02" },
+        SkipCase{ "IdealWarpMigrationLRR",
+                  [] {
+                      GpuConfig cfg = withFlag(
+                          smallVolta(2), &GpuConfig::idealWarpMigration);
+                      cfg.scheduler = SchedulerPolicy::LRR;
+                      return cfg;
+                  }(),
+                  "59f337a9f3495311" }),
     [](const ::testing::TestParamInfo<SkipCase> &info) {
         return std::string(info.param.name);
     });

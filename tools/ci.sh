@@ -17,13 +17,16 @@
 #
 # `bench` is not a preset: it builds the benchmark project
 # (benchmark/) into build-bench, runs one bench-size pass of every
-# workload in BENCHMARK.json at seed 0, and fails unless each pass's
-# stats digest equals its pin in benchmark/digests.json.  Hot-loop
-# changes are thereby gated on the bench-size workloads as well as on
-# the micro goldens.
+# workload in BENCHMARK.json at each of BENCH_SEEDS, and fails unless
+# each pass's stats digest equals its pin in benchmark/digests.json.
+# Hot-loop changes are thereby gated on the bench-size workloads as
+# well as on the micro goldens.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Two seeds draw different app mixes; both are pinned.
+BENCH_SEEDS=(0 7)
 
 bench_digests() {
     echo "==== bench: configure + build"
@@ -33,17 +36,19 @@ bench_digests() {
     workloads=$(python3 -c 'import json
 print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
     for w in $workloads; do
-        echo "==== bench: $w"
-        build-bench/scsim_bench pass --workload "$w" --seed 0 \
-            --out build-bench/ci | tail -n 1 | python3 -c '
+        for seed in "${BENCH_SEEDS[@]}"; do
+            echo "==== bench: $w seed $seed"
+            build-bench/scsim_bench pass --workload "$w" --seed "$seed" \
+                --out build-bench/ci | tail -n 1 | python3 -c '
 import json, sys
-w = sys.argv[1]
+w, seed = sys.argv[1], sys.argv[2]
 rec = json.loads(sys.stdin.read())
-pin = json.load(open("benchmark/digests.json"))["bench"][w]["0"]
-print("%s: digest %s, pinned %s, %d/%d jobs failed"
-      % (w, rec["digest"], pin, rec["failed"], rec["attempted"]))
+pin = json.load(open("benchmark/digests.json"))["bench"][w][seed]
+print("%s seed %s: digest %s, pinned %s, %d/%d jobs failed"
+      % (w, seed, rec["digest"], pin, rec["failed"], rec["attempted"]))
 sys.exit(0 if rec["digest"] == pin and rec["failed"] == 0 else 1)
-' "$w"
+' "$w" "$seed"
+        done
     done
 }
 
