@@ -547,8 +547,8 @@ IssueCluster::saveState(StateWriter &w) const
 void
 IssueCluster::loadState(StateReader &r)
 {
-    arbiter_.loadState(r);
-    collector_.loadState(r);
+    arbiter_.loadState(r, collector_.size(), cfg_.maxWarpsPerSm);
+    collector_.loadState(r, cfg_.maxWarpsPerSm);
     pipes_.loadState(r);
     for (auto &sched : scheds_)
         sched->loadState(r);

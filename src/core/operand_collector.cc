@@ -116,12 +116,20 @@ OperandCollector::saveState(StateWriter &w) const
 }
 
 void
-OperandCollector::loadState(StateReader &r)
+OperandCollector::loadState(StateReader &r, int maxWarps)
 {
     freeCount_ = 0;
     for (CollectorUnit &cu : cus_) {
         cu.busy = r.b("cu.busy");
-        cu.warp = static_cast<WarpSlot>(r.i64("cu.warp"));
+        // A busy CU's warp indexes the SM's warp table at dispatch.
+        std::int64_t warp = r.i64("cu.warp");
+        if (cu.busy ? warp < 0 || warp >= maxWarps : warp != kNoWarp)
+            scsim_throw(CacheError,
+                        "snapshot: %s collector unit holds warp %lld "
+                        "out of range",
+                        cu.busy ? "busy" : "idle",
+                        static_cast<long long>(warp));
+        cu.warp = static_cast<WarpSlot>(warp);
         cu.pendingOperands =
             static_cast<std::uint32_t>(r.u64("cu.pending"));
         cu.allocCycle = r.u64("cu.alloc");

@@ -69,9 +69,13 @@ class OperandCollector
 
     void reset();
 
-    /** Checkpointing: every CU, including its staged instruction. */
+    /**
+     * Checkpointing: every CU, including its staged instruction.  A
+     * load refuses (CacheError) a busy CU whose warp is outside
+     * [0, @p maxWarps) and an idle CU bound to any warp.
+     */
     void saveState(StateWriter &w) const;
-    void loadState(StateReader &r);
+    void loadState(StateReader &r, int maxWarps);
 
   private:
     std::vector<CollectorUnit> cus_;

@@ -83,14 +83,20 @@ RegFileArbiter::saveState(StateWriter &w) const
 }
 
 void
-RegFileArbiter::loadState(StateReader &r)
+RegFileArbiter::loadState(StateReader &r, int numCus, int maxWarps)
 {
     for (auto &q : readQ_) {
         q.clear();
         std::uint64_t n = r.u64("rf.readq");
         for (std::uint64_t i = 0; i < n; ++i) {
             ReadRequest req;
-            req.cu = static_cast<int>(r.i64("rf.read.cu"));
+            std::int64_t cu = r.i64("rf.read.cu");
+            if (cu < 0 || cu >= numCus)
+                scsim_throw(CacheError,
+                            "snapshot: register read for collector unit "
+                            "%lld out of range",
+                            static_cast<long long>(cu));
+            req.cu = static_cast<int>(cu);
             req.operandMask =
                 static_cast<std::uint32_t>(r.u64("rf.read.mask"));
             q.push_back(req);
@@ -101,7 +107,13 @@ RegFileArbiter::loadState(StateReader &r)
         std::uint64_t n = r.u64("rf.writeq");
         for (std::uint64_t i = 0; i < n; ++i) {
             WriteRequest req;
-            req.warp = static_cast<WarpSlot>(r.i64("rf.write.warp"));
+            std::int64_t warp = r.i64("rf.write.warp");
+            if (warp < 0 || warp >= maxWarps)
+                scsim_throw(CacheError,
+                            "snapshot: register write for warp %lld out "
+                            "of range",
+                            static_cast<long long>(warp));
+            req.warp = static_cast<WarpSlot>(warp);
             req.reg = static_cast<RegIndex>(r.i64("rf.write.reg"));
             q.push_back(req);
         }

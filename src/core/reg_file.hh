@@ -102,7 +102,9 @@ class RegFileArbiter
 
     /** Checkpointing: per-bank queues in FIFO order. */
     void saveState(StateWriter &w) const;
-    void loadState(StateReader &r);
+    /** Refuses (CacheError) a queued read for a CU outside
+     *  [0, @p numCus) or a write for a warp outside [0, @p maxWarps). */
+    void loadState(StateReader &r, int numCus, int maxWarps);
 
   private:
     int numBanks_;

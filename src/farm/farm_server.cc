@@ -4,7 +4,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <unordered_set>
+#include <optional>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -20,7 +20,8 @@ using runner::JobResult;
 using runner::JobStatus;
 using runner::WireDecode;
 
-FarmServer::FarmServer(FarmServerOptions opts) : opts_(std::move(opts))
+FarmServer::FarmServer(FarmServerOptions opts)
+    : opts_(std::move(opts)), cache_(opts_.cacheDir, opts_.cacheMaxBytes)
 {
     if (opts_.socketPath.empty() && opts_.tcpPort < 0)
         scsim_throw(SimError,
@@ -56,24 +57,20 @@ FarmServer::FarmServer(FarmServerOptions opts) : opts_(std::move(opts))
 
     start_ = std::chrono::steady_clock::now();
 
-    Dispatcher::Options d;
-    d.workers = opts_.workers;
-    d.selfExe = opts_.selfExe;
-    d.jobTimeoutSec = opts_.jobTimeoutSec;
-    d.crashAttempts = opts_.crashAttempts;
-    d.cacheDir = opts_.cacheDir;
-    d.cacheMaxBytes = opts_.cacheMaxBytes;
+    runner::IsolatedRunOptions iso{ opts_.selfExe, opts_.jobTimeoutSec,
+                                    opts_.crashAttempts, 0, "" };
     if (opts_.checkpointCycles) {
         if (opts_.stateDir.empty())
             scsim_throw(SimError,
                         "checkpointing needs a state directory "
                         "(--state-dir) to hold worker snapshots");
-        d.checkpointCycles = opts_.checkpointCycles;
-        d.snapshotDir = opts_.stateDir + "/snapshots";
+        iso.checkpointCycles = opts_.checkpointCycles;
+        iso.snapshotDir = opts_.stateDir + "/snapshots";
     }
-    dispatcher_ = std::make_unique<Dispatcher>(
-        std::move(d), [this](std::uint64_t sweepId, std::size_t index,
-                             JobResult r) {
+    dispatcher_ = std::make_unique<runner::Dispatcher>(
+        runner::Dispatcher::Options{ opts_.workers, std::move(iso) },
+        cache_,
+        [this](std::uint64_t sweepId, std::size_t index, JobResult r) {
             onCompletion(sweepId, index, std::move(r));
         });
 }
@@ -398,30 +395,7 @@ FarmServer::handleSubmit(Session &s, SubmitMsg msg)
         }
     }
 
-    // Same whole-spec validation as a local SweepEngine run: every
-    // duplicate tag and invalid config reported at once, before any
-    // job is queued.
-    {
-        std::string problems;
-        std::unordered_set<std::string> seen;
-        for (const runner::SimJob &job : msg.spec.jobs) {
-            if (!seen.insert(job.tag).second)
-                problems += detail::format(
-                    "  duplicate sweep tag '%s' (app '%s')\n",
-                    job.tag.c_str(), job.app.name.c_str());
-            try {
-                job.cfg.validate();
-            } catch (const ConfigError &e) {
-                problems += detail::format(
-                    "  job '%s' (app '%s'): %s\n", job.tag.c_str(),
-                    job.app.name.c_str(), e.what());
-            }
-        }
-        if (!problems.empty())
-            scsim_throw(ConfigError,
-                        "invalid sweep spec; no jobs were queued:\n%s",
-                        problems.c_str());
-    }
+    runner::validateSpec(msg.spec);
 
     const std::uint64_t specHash = runner::sweepSpecHash(msg.spec);
     const std::size_t jobCount = msg.spec.jobs.size();
@@ -440,8 +414,7 @@ FarmServer::handleSubmit(Session &s, SubmitMsg msg)
     // Resume: adopt every intact record of this spec's journal.  The
     // journal file is named by the spec hash, so a stale or foreign
     // file simply fails the pinned-identity check and is ignored.
-    std::vector<char> adopted(jobCount, 0);
-    std::vector<JobResult> adoptedResults(jobCount);
+    std::vector<std::optional<JobResult>> adopted(jobCount);
     std::string journalPath;
     if (!opts_.stateDir.empty())
         journalPath = opts_.stateDir + "/" + runner::keyToHex(specHash)
@@ -449,19 +422,10 @@ FarmServer::handleSubmit(Session &s, SubmitMsg msg)
     if (msg.resume && !journalPath.empty()
         && std::filesystem::exists(journalPath)) {
         try {
-            runner::JournalContents j = runner::readJournal(journalPath);
-            if (j.specHash == specHash && j.jobCount == jobCount) {
-                for (runner::JournalRecord &rec : j.records) {
-                    if (rec.index >= jobCount
-                        || rec.tag != sw.tags[rec.index])
-                        continue;
-                    adopted[rec.index] = 1;
-                    adoptedResults[rec.index] = std::move(rec.result);
-                }
-            } else {
-                scsim_warn("journal '%s' pins a different sweep; "
-                           "resuming nothing", journalPath.c_str());
-            }
+            std::string foreign = runner::adoptJournal(
+                journalPath, msg.spec, specHash, adopted);
+            if (!foreign.empty())
+                scsim_warn("%s; resuming nothing", foreign.c_str());
         } catch (const CacheError &e) {
             scsim_warn("cannot read journal '%s'; resuming nothing: %s",
                        journalPath.c_str(), e.what());
@@ -484,9 +448,11 @@ FarmServer::handleSubmit(Session &s, SubmitMsg msg)
     accept.sweepId = sw.id;
     accept.specHash = specHash;
     accept.jobCount = jobCount;
+    std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < jobCount; ++i)
-        if (adopted[i])
-            ++accept.adopted;
+        if (!adopted[i])
+            pending.push_back(i);
+    accept.adopted = jobCount - pending.size();
     sendFrame(s, serializeAccept(accept));
 
     if (!opts_.quiet)
@@ -504,16 +470,9 @@ FarmServer::handleSubmit(Session &s, SubmitMsg msg)
     for (std::size_t i = 0; i < jobCount; ++i) {
         if (!adopted[i])
             continue;
-        JobResult &r = adoptedResults[i];
-        if (active.journal) {
-            try {
-                active.journal->append(i, active.tags[i], r);
-            } catch (const CacheError &e) {
-                scsim_warn("journal append for '%s' failed; a resume "
-                           "would re-run it: %s",
-                           active.tags[i].c_str(), e.what());
-            }
-        }
+        JobResult &r = *adopted[i];
+        if (active.journal)
+            active.journal->tryAppend(i, active.tags[i], r);
         if (r.status == JobStatus::Cached)
             ++active.tally.cacheHits;
         else
@@ -532,9 +491,7 @@ FarmServer::handleSubmit(Session &s, SubmitMsg msg)
         }
     }
 
-    for (std::size_t i = 0; i < jobCount; ++i)
-        if (!adopted[i])
-            dispatcher_->enqueue(active.id, i, msg.spec.jobs[i]);
+    dispatcher_->enqueue(active.id, msg.spec, pending);
 
     finishSweepIfDone(active);
 }
@@ -590,16 +547,8 @@ FarmServer::drainCompletions()
 
         // Journal before streaming: anything the client saw is on
         // disk, so a daemon crash never loses an acknowledged job.
-        if (sw.journal) {
-            try {
-                sw.journal->append(ev.index, sw.tags[ev.index],
-                                   ev.result);
-            } catch (const CacheError &e) {
-                scsim_warn("journal append for '%s' failed; a resume "
-                           "would re-run it: %s",
-                           sw.tags[ev.index].c_str(), e.what());
-            }
-        }
+        if (sw.journal)
+            sw.journal->tryAppend(ev.index, sw.tags[ev.index], ev.result);
         if (ev.result.cached)
             ++sw.tally.cacheHits;
         else
@@ -632,9 +581,9 @@ FarmServer::snapshot() const
             std::chrono::steady_clock::now() - start_)
             .count());
     st.workers = dispatcher_->workers();
-    st.busyWorkers = dispatcher_->busyWorkers();
-    st.queueDepth = dispatcher_->queueDepth();
     st.inFlight = dispatcher_->inFlight();
+    st.busyWorkers = static_cast<int>(st.inFlight);
+    st.queueDepth = dispatcher_->queueDepth();
     st.sessions = sessions_.size();
     st.sweepsActive = sweeps_.size();
     st.sweepsCompleted = sweepsCompleted_;
@@ -642,13 +591,12 @@ FarmServer::snapshot() const
     st.jobsFailed = dispatcher_->failedJobs();
     st.jobsCrashed = dispatcher_->crashedJobs();
     st.jobsCoalesced = dispatcher_->coalesced();
-    runner::ResultCache &cache = dispatcher_->cache();
-    st.cacheHits = cache.hits();
-    st.cacheMisses = cache.misses();
-    st.cacheQuarantined = cache.quarantined();
-    st.cacheEvicted = cache.evicted();
-    st.cacheDiskBytes = cache.diskBytes();
-    st.cacheMaxBytes = cache.maxDiskBytes();
+    st.cacheHits = cache_.hits();
+    st.cacheMisses = cache_.misses();
+    st.cacheQuarantined = cache_.quarantined();
+    st.cacheEvicted = cache_.evicted();
+    st.cacheDiskBytes = cache_.diskBytes();
+    st.cacheMaxBytes = cache_.maxDiskBytes();
     st.draining = draining_
         || drainRequested_.load(std::memory_order_relaxed);
     st.maxQueuedJobs = opts_.maxQueuedJobs;

@@ -10,12 +10,13 @@
  * of their own; only the dispatcher's completion queue crosses the
  * thread boundary.
  *
- * Sweep lifecycle: a submit is validated whole (exactly like a local
- * SweepEngine run — every duplicate tag and invalid config reported at
- * once, before any job runs), adopted from its spec-hash-pinned
- * journal in the state directory when the client asked to resume,
- * acknowledged with scsim-accept, and its remaining jobs handed to the
- * shared dispatcher.  Every finished job is durably journaled before
+ * Sweep lifecycle: a submit is validated whole (runner::validateSpec,
+ * exactly as a local SweepEngine run), adopted from its
+ * spec-hash-pinned journal in the state directory when the client
+ * asked to resume (runner::adoptJournal), acknowledged with
+ * scsim-accept, and its remaining jobs handed to the shared
+ * runner::Dispatcher — the same job-execution core a local sweep
+ * uses, here always with crash-isolated workers.  Every finished job is durably journaled before
  * its scsim-jobdone is streamed, so a daemon crash or SIGKILL'd sweep
  * resumes from the last fsync.  A client that disconnects mid-sweep
  * detaches it — the jobs keep running and keep journaling, which is
@@ -39,10 +40,11 @@
 #include <string>
 #include <vector>
 
-#include "farm/dispatcher.hh"
 #include "farm/protocol.hh"
 #include "farm/socket.hh"
+#include "runner/dispatcher.hh"
 #include "runner/journal.hh"
+#include "runner/result_cache.hh"
 #include "runner/wire.hh"
 
 namespace scsim::farm {
@@ -226,7 +228,8 @@ class FarmServer
     bool staleWarned_ = false;
     std::set<int> warnedAcceptErrnos_;
 
-    std::unique_ptr<Dispatcher> dispatcher_;
+    runner::ResultCache cache_;  //!< shared by every sweep's jobs
+    std::unique_ptr<runner::Dispatcher> dispatcher_;
     std::mutex completionsMutex_;
     std::deque<CompletionEvent> completions_;
 

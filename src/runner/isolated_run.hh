@@ -7,10 +7,10 @@
  * serialize the job over stdin, enforce the wall-clock deadline
  * (SIGTERM, grace, SIGKILL — see runner/subprocess.hh), decode the
  * result record from stdout, and respawn with doubling backoff when
- * the child crashes, times out, or breaches the protocol.  Both the
- * in-process sweep engine (`sweep --isolate`) and the farm dispatcher
- * (`serve`) call it, so a job crashes, retries, and is recorded
- * identically whether it ran locally or on a daemon.
+ * the child crashes, times out, or breaches the protocol.  The
+ * job-execution core (runner/dispatcher.hh) calls it for both
+ * `sweep --isolate` and `serve`, so a job crashes, retries, and is
+ * recorded identically whether it ran locally or on a daemon.
  */
 
 #ifndef SCSIM_RUNNER_ISOLATED_RUN_HH

@@ -16,6 +16,7 @@
 #include "common/rng.hh"
 #include "common/text_escape.hh"
 #include "runner/job_key.hh"
+#include "runner/result_cache.hh"
 #include "runner/wire.hh"
 
 namespace scsim::runner {
@@ -125,6 +126,31 @@ readJournal(const std::string &path)
     return out;
 }
 
+std::string
+adoptJournal(const std::string &path, const SweepSpec &spec,
+             std::uint64_t specHash,
+             std::vector<std::optional<JobResult>> &adopted)
+{
+    JournalContents j = readJournal(path);
+    if (j.specHash != specHash || j.jobCount != spec.jobs.size())
+        return detail::format(
+            "journal '%s' was written for a different sweep (spec %s "
+            "with %" PRIu64 " jobs; this spec is %s with %zu jobs)",
+            path.c_str(), keyToHex(j.specHash).c_str(), j.jobCount,
+            keyToHex(specHash).c_str(), spec.jobs.size());
+    adopted.resize(spec.jobs.size());
+    for (JournalRecord &rec : j.records) {
+        if (rec.index >= spec.jobs.size()
+            || rec.tag != spec.jobs[rec.index].tag) {
+            scsim_warn("journal '%s': record for unknown job '%s' "
+                       "ignored", path.c_str(), rec.tag.c_str());
+            continue;
+        }
+        adopted[rec.index] = std::move(rec.result);
+    }
+    return {};
+}
+
 JournalWriter::JournalWriter(const std::string &path,
                              std::uint64_t specHash,
                              std::uint64_t jobCount, bool fresh)
@@ -192,6 +218,19 @@ JournalWriter::append(std::size_t index, const std::string &tag,
     }
     scsim_throw(CacheError, "write to journal '%s' failed: %s",
                 path_.c_str(), std::strerror(err));
+}
+
+void
+JournalWriter::tryAppend(std::size_t index, const std::string &tag,
+                         const JobResult &result)
+{
+    try {
+        retryTransient("journal append",
+                       [&] { append(index, tag, result); });
+    } catch (const CacheError &e) {
+        scsim_warn("journal append for '%s' gave up; a resume would "
+                   "re-run it: %s", tag.c_str(), e.what());
+    }
 }
 
 } // namespace scsim::runner

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,21 @@ struct JournalContents
 JournalContents readJournal(const std::string &path);
 
 /**
+ * Resume adoption, shared by every client of the job-execution core:
+ * read @p path and move each intact record whose index and tag still
+ * match @p spec into @p adopted (parallel to spec.jobs; an engaged
+ * slot is a finished job).  Records for jobs the spec does not have
+ * are ignored with a warning.  When the journal pins another spec
+ * (hash @p specHash or job count differ) nothing is adopted and the
+ * mismatch is returned as a message; the caller decides whether that
+ * is fatal.  Returns "" otherwise.  Throws CacheError like
+ * readJournal().
+ */
+std::string adoptJournal(const std::string &path, const SweepSpec &spec,
+                         std::uint64_t specHash,
+                         std::vector<std::optional<JobResult>> &adopted);
+
+/**
  * Appender.  Construction writes (and fsyncs) the header when the
  * file is empty or @p fresh asked for truncation; append() fsyncs
  * every record, so anything this class returned from is on disk.
@@ -83,6 +99,13 @@ class JournalWriter
     /** Durably append one finished job (no-op after disk-full). */
     void append(std::size_t index, const std::string &tag,
                 const JobResult &result);
+
+    /**
+     * append() with bounded transient retry; a fault that persists
+     * only warns (a resume would re-run the job), never throws.
+     */
+    void tryAppend(std::size_t index, const std::string &tag,
+                   const JobResult &result);
 
     /** Has a full disk turned appends into no-ops? */
     bool degraded() const { return dead_; }

@@ -5,8 +5,8 @@
 
 #include "common/logging.hh"
 #include "common/text_escape.hh"
+#include "runner/dispatcher.hh"
 #include "runner/job_key.hh"
-#include "runner/worker_pool.hh"
 
 namespace scsim::runner {
 

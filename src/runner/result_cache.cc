@@ -1,11 +1,13 @@
 #include "runner/result_cache.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/fault_inject.hh"
@@ -26,6 +28,25 @@ isCacheFile(const fs::path &p)
 }
 
 } // namespace
+
+void
+retryTransient(const char *what, const std::function<void()> &fn)
+{
+    constexpr int kAttempts = 3;
+    for (int attempt = 1;; ++attempt) {
+        try {
+            fn();
+            return;
+        } catch (const CacheError &e) {
+            if (attempt >= kAttempts)
+                throw;
+            scsim_warn("%s failed (attempt %d/%d), backing off: %s",
+                       what, attempt, kAttempts, e.what());
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(1LL << attempt));
+        }
+    }
+}
 
 ResultCache::ResultCache(std::string dir, std::uint64_t maxDiskBytes)
     : dir_(std::move(dir)), maxDiskBytes_(maxDiskBytes)

@@ -15,7 +15,8 @@
  * so the job transparently re-runs; a version-skewed entry (written
  * by an older or newer format) is a plain miss.  Transient I/O
  * faults — including injected ones (common/fault_inject.hh) — throw
- * CacheError, which the sweep engine retries with bounded backoff.
+ * CacheError, which callers retry with bounded backoff
+ * (retryTransient).
  *
  * Layout: `<dir>/<16-hex-digit key>.stats`, one file per result, in a
  * line-oriented `key value` format (see serializeStats in
@@ -27,6 +28,7 @@
 #define SCSIM_RUNNER_RESULT_CACHE_HH
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -35,6 +37,14 @@
 #include "stats/stats.hh"
 
 namespace scsim::runner {
+
+/**
+ * Run @p fn, retrying a CacheError up to 3 attempts in all with
+ * doubling backoff.  Exhausting the attempts rethrows; the caller
+ * decides how that degrades (a cache or journal fault never fails a
+ * job).
+ */
+void retryTransient(const char *what, const std::function<void()> &fn);
 
 class ResultCache
 {

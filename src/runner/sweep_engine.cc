@@ -2,70 +2,19 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
-#include <cstring>
+#include <cstdio>
 #include <memory>
 #include <mutex>
-#include <thread>
-#include <unordered_set>
+#include <optional>
 
 #include "common/logging.hh"
-#include "runner/isolated_run.hh"
+#include "runner/dispatcher.hh"
 #include "runner/job_key.hh"
 #include "runner/journal.hh"
-#include "runner/wire.hh"
-#include "runner/worker_pool.hh"
-#include "sim/engine.hh"
 
 namespace scsim::runner {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/**
- * Thrown (and caught by the worker pool's catch-all) to count an
- * isolated job's recorded failure toward failFast/maxFailures.
- * Deliberately not a std::exception: the result is already recorded
- * and reported by the time this is thrown, and no catch clause on the
- * way out may mistake it for an unclassified error.
- */
-struct IsolatedJobFailure
-{
-};
-
-double
-msSince(Clock::time_point start)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now()
-                                                     - start)
-        .count();
-}
-
-/**
- * Run @p fn, retrying a CacheError up to @p attempts times with
- * doubling backoff.  Exhausting the attempts rethrows; the caller
- * decides whether that degrades (cache misses never fail a sweep).
- */
-template <typename Fn>
-auto
-retryTransient(int attempts, const char *what, Fn &&fn)
-    -> decltype(fn())
-{
-    attempts = std::max(attempts, 1);
-    for (int attempt = 1;; ++attempt) {
-        try {
-            return fn();
-        } catch (const CacheError &e) {
-            if (attempt >= attempts)
-                throw;
-            scsim_warn("%s failed (attempt %d/%d), backing off: %s",
-                       what, attempt, attempts, e.what());
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(1LL << attempt));
-        }
-    }
-}
 
 /** First line of a (possibly multi-line) error message. */
 std::string
@@ -98,284 +47,140 @@ SweepEngine::SweepEngine(SweepOptions opts)
 {
 }
 
-void
-SweepEngine::runIsolated(const SimJob &job, JobResult &r)
-{
-    IsolatedRunOptions iso;
-    iso.selfExe = opts_.selfExe;
-    iso.timeoutSec = opts_.jobTimeoutSec;
-    iso.attempts = opts_.crashAttempts;
-    iso.checkpointCycles = opts_.checkpointCycles;
-    iso.snapshotDir = opts_.snapshotDir;
-    runJobIsolated(job, iso, r);
-}
-
 SweepResult
 SweepEngine::run(const SweepSpec &spec)
 {
-    auto sweepStart = Clock::now();
+    auto sweepStart = std::chrono::steady_clock::now();
+    validateSpec(spec);
 
-    // Validate everything before running anything: one pass collects
-    // every duplicate tag and invalid config, so a bad 400-point
-    // sweep is rejected whole instead of dying mid-flight on job 312.
-    {
-        std::string problems;
-        std::unordered_set<std::string> seen;
-        for (const SimJob &job : spec.jobs) {
-            if (!seen.insert(job.tag).second)
-                problems += detail::format(
-                    "  duplicate sweep tag '%s' (app '%s')\n",
-                    job.tag.c_str(), job.app.name.c_str());
-            try {
-                job.cfg.validate();
-            } catch (const ConfigError &e) {
-                problems += detail::format(
-                    "  job '%s' (app '%s'): %s\n", job.tag.c_str(),
-                    job.app.name.c_str(), e.what());
-            }
-        }
-        if (!problems.empty())
-            scsim_throw(ConfigError,
-                        "invalid sweep spec; no jobs were run:\n%s",
-                        problems.c_str());
-    }
-
+    const std::size_t n = spec.jobs.size();
     SweepResult out;
-    out.tags.reserve(spec.jobs.size());
+    out.tags.reserve(n);
     for (const SimJob &job : spec.jobs)
         out.tags.push_back(job.tag);
-    out.results.resize(spec.jobs.size());
-    for (std::size_t i = 0; i < spec.jobs.size(); ++i)
+    out.results.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
         out.results[i].key = jobKey(spec.jobs[i]);
 
     const std::uint64_t specHash = sweepSpecHash(spec);
 
-    // Resume phase: adopt every intact journal record whose identity
-    // (spec hash, index, tag) still matches.  Adopted failures count
-    // like fresh ones; adopted jobs are never re-run.
-    std::vector<char> adopted(spec.jobs.size(), 0);
+    // Resume: adopt every intact journal record whose identity (spec
+    // hash, index, tag) still matches.  Adopted jobs are never re-run.
+    std::vector<std::optional<JobResult>> adopted(n);
     if (!opts_.resumePath.empty()) {
-        JournalContents j = readJournal(opts_.resumePath);
-        if (j.specHash != specHash
-            || j.jobCount != spec.jobs.size())
-            scsim_throw(ConfigError,
-                        "journal '%s' was written for a different "
-                        "sweep (spec %s with %" PRIu64 " jobs; this "
-                        "spec is %s with %zu jobs)",
-                        opts_.resumePath.c_str(),
-                        keyToHex(j.specHash).c_str(), j.jobCount,
-                        keyToHex(specHash).c_str(), spec.jobs.size());
-        for (JournalRecord &rec : j.records) {
-            if (rec.index >= spec.jobs.size()
-                || rec.tag != spec.jobs[rec.index].tag) {
-                scsim_warn("journal '%s': record for unknown job "
-                           "'%s' ignored", opts_.resumePath.c_str(),
-                           rec.tag.c_str());
-                continue;
-            }
-            if (!adopted[rec.index])
-                ++out.resumed;
-            adopted[rec.index] = 1;
-            out.results[rec.index] = std::move(rec.result);
-        }
+        std::string foreign =
+            adoptJournal(opts_.resumePath, spec, specHash, adopted);
+        if (!foreign.empty())
+            scsim_throw(ConfigError, "%s", foreign.c_str());
     }
 
     // Journal writer.  Always started fresh and re-seeded below with
-    // the adopted records (readJournal above already holds the old
-    // contents): rewriting scrubs the half-written record a SIGKILL
-    // leaves at the tail, which appending would otherwise strand in
-    // the middle of the file where it truncates every later read.
+    // the adopted records: rewriting scrubs the half-written record a
+    // SIGKILL leaves at the tail, which appending would otherwise
+    // strand in the middle of the file where it truncates every later
+    // read.
     std::unique_ptr<JournalWriter> journal;
     if (!opts_.journalPath.empty())
         journal = std::make_unique<JournalWriter>(
-            opts_.journalPath, specHash, spec.jobs.size(),
-            /*fresh=*/true);
-    auto journalAppend = [&](std::size_t i, const JobResult &r) {
-        if (!journal)
-            return;
-        try {
-            retryTransient(opts_.cacheAttempts, "journal append", [&] {
-                journal->append(i, spec.jobs[i].tag, r);
-            });
-        } catch (const CacheError &e) {
-            scsim_warn("journal append for '%s' gave up; a resume "
-                       "would re-run it: %s", spec.jobs[i].tag.c_str(),
-                       e.what());
-        }
-    };
-    if (journal)
-        for (std::size_t i = 0; i < spec.jobs.size(); ++i)
-            if (adopted[i])
-                journalAppend(i, out.results[i]);
+            opts_.journalPath, specHash, n, /*fresh=*/true);
 
-    std::FILE *stream = opts_.progressStream ? opts_.progressStream
-                                             : stderr;
-    std::mutex progressMutex;
+    // Record one final result: journal it (outside the lock, so no
+    // fsync ever serializes the workers), then count and report it.
+    // Returns whether fresh failures (not adopted ones, marked by
+    // @p how) have reached failFast / maxFailures.
+    std::mutex mutex;
     std::size_t done = 0;
-    auto report = [&](std::size_t idx, const JobResult &r,
-                      const char *how = nullptr) {
-        if (!opts_.progress)
-            return;
-        std::lock_guard lock(progressMutex);
-        ++done;
-        if (r.ok())
-            std::fprintf(
-                stream,
-                "[%3zu/%zu] %-28s %12llu cycles  ipc %5.2f  %s\n",
-                done, spec.jobs.size(), spec.jobs[idx].tag.c_str(),
-                static_cast<unsigned long long>(r.stats.cycles),
-                r.stats.ipc(),
-                how ? how
-                    : r.cached
-                          ? "(cache)"
-                          : detail::format("(%.1fs)", r.wallMs / 1e3)
-                                .c_str());
-        else
-            std::fprintf(stream, "[%3zu/%zu] %-28s %s%s: %s\n", done,
-                         spec.jobs.size(), spec.jobs[idx].tag.c_str(),
-                         toString(r.status), how ? how : "",
-                         firstLine(r.error).c_str());
-        std::fflush(stream);
-    };
-
-    // Adopted results are final: count and report them now.
-    for (std::size_t i = 0; i < spec.jobs.size(); ++i) {
-        if (!adopted[i])
-            continue;
-        const JobResult &r = out.results[i];
+    std::uint64_t failures = 0;
+    auto record = [&](std::size_t i, JobResult r, const char *how) {
+        if (journal)
+            journal->tryAppend(i, spec.jobs[i].tag, r);
+        std::lock_guard lock(mutex);
         if (r.status == JobStatus::Cached)
             ++out.cacheHits;
         else
             ++out.executed;
-        if (!r.ok() && r.status != JobStatus::Skipped)
+        if (!r.ok()) {
             ++out.failed;
-        report(i, r, r.ok() ? "(journal)" : " (journal)");
-    }
-
-    // Phase 1: resolve cache hits and collect the misses.  A cache
-    // read that keeps failing is a miss, not a sweep failure.
-    std::vector<std::size_t> missIdx;
-    for (std::size_t i = 0; i < spec.jobs.size(); ++i) {
-        if (adopted[i])
-            continue;
-        JobResult &r = out.results[i];
-        bool hit = false;
-        try {
-            hit = retryTransient(opts_.cacheAttempts, "cache lookup",
-                                 [&] {
-                                     return cache_.lookup(r.key,
-                                                          r.stats);
-                                 });
-        } catch (const CacheError &e) {
-            scsim_warn("cache lookup for '%s' gave up, treating as "
-                       "miss: %s", spec.jobs[i].tag.c_str(), e.what());
+            if (!how)
+                ++failures;
         }
-        if (hit) {
-            r.status = JobStatus::Cached;
-            r.cached = true;
-            ++out.cacheHits;
-            journalAppend(i, r);
-            report(i, r);
-        } else {
-            missIdx.push_back(i);
+        if (opts_.progress) {
+            ++done;
+            if (r.ok())
+                std::fprintf(
+                    stderr,
+                    "[%3zu/%zu] %-28s %12llu cycles  ipc %5.2f  %s\n",
+                    done, n, spec.jobs[i].tag.c_str(),
+                    static_cast<unsigned long long>(r.stats.cycles),
+                    r.stats.ipc(),
+                    how ? how
+                        : r.cached
+                              ? "(cache)"
+                              : detail::format("(%.1fs)", r.wallMs / 1e3)
+                                    .c_str());
+            else
+                std::fprintf(stderr, "[%3zu/%zu] %-28s %s%s: %s\n", done,
+                             n, spec.jobs[i].tag.c_str(),
+                             toString(r.status), how ? " (journal)" : "",
+                             firstLine(r.error).c_str());
+            std::fflush(stderr);
         }
-    }
-
-    // Phase 2: longest expected job first (index tie-break keeps the
-    // order reproducible across runs).
-    std::stable_sort(missIdx.begin(), missIdx.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return spec.jobs[a].expectedCost()
-                             > spec.jobs[b].expectedCost();
-                     });
-
-    auto stop = [&](std::size_t failures) {
+        out.results[i] = std::move(r);
         return (opts_.failFast && failures > 0)
             || (opts_.maxFailures && failures >= opts_.maxFailures);
     };
 
-    // Failures are classified, journaled and reported inside the
-    // worker (not after the pool drains) so that a sweep killed
-    // mid-flight has every finished job on disk; the rethrow only
-    // feeds the failFast/maxFailures accounting.
-    std::vector<std::exception_ptr> errors =
-        runOrdered(missIdx, opts_.jobs, [&](std::size_t i) {
-            const SimJob &job = spec.jobs[i];
-            JobResult &r = out.results[i];
-            auto jobStart = Clock::now();
-
-            try {
-                if (opts_.isolate) {
-                    runIsolated(job, r);
-                    r.wallMs = msSince(jobStart);
-                } else {
-                    sim::SimEngine engine(job.cfg);
-                    r.stats = engine.runApp(job.app, job.salt,
-                                            job.concurrent);
-                    r.wallMs = msSince(jobStart);
-                    r.status = JobStatus::Ok;
-                }
-            } catch (const HangError &e) {
-                r.stats = SimStats{};
-                r.status = JobStatus::Hang;
-                r.error = e.what();
-                r.wallMs = msSince(jobStart);
-                if (opts_.progress) {
-                    std::lock_guard lock(progressMutex);
-                    std::fprintf(stream, "%s", e.diagnostic().c_str());
-                    std::fflush(stream);
-                }
-                journalAppend(i, r);
-                report(i, r);
-                throw;
-            } catch (const std::exception &e) {
-                r.stats = SimStats{};
-                r.status = JobStatus::Failed;
-                r.error = e.what();
-                r.wallMs = msSince(jobStart);
-                journalAppend(i, r);
-                report(i, r);
-                throw;
-            }
-
-            if (!r.ok()) {
-                // Isolated worker reported a failure (or crashed);
-                // already fully recorded in r.
-                journalAppend(i, r);
-                report(i, r);
-                throw IsolatedJobFailure{};
-            }
-
-            // A store that keeps failing loses only the disk entry;
-            // the computed result stands.
-            try {
-                retryTransient(opts_.cacheAttempts, "cache store",
-                               [&] { cache_.store(r.key, r.stats); });
-            } catch (const CacheError &e) {
-                scsim_warn("cache store for '%s' gave up, result not "
-                           "cached: %s", job.tag.c_str(), e.what());
-            }
-            journalAppend(i, r);
-            report(i, r);
-        }, stop);
-
-    // Account for what the pool did.  Every claimed job was already
-    // classified, journaled and reported inside the worker.
-    for (std::size_t k = 0; k < missIdx.size(); ++k) {
-        std::size_t i = missIdx[k];
-        JobResult &r = out.results[i];
-        if (errors[k]) {
-            ++out.failed;
-            ++out.executed;
-        } else if (r.status == JobStatus::Skipped) {
-            r.error = "skipped: failure limit reached";
-            ++out.skipped;
+    std::vector<std::size_t> pending;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (adopted[i]) {
+            ++out.resumed;
+            record(i, std::move(*adopted[i]), "(journal)");
         } else {
-            ++out.executed;
+            pending.push_back(i);
         }
     }
 
-    out.wallMs = msSince(sweepStart);
+    if (!pending.empty()) {
+        Dispatcher::Options d;
+        d.workers = std::min(resolveJobs(opts_.jobs),
+                             static_cast<int>(pending.size()));
+        if (opts_.isolate)
+            d.isolate = IsolatedRunOptions{
+                opts_.selfExe, opts_.jobTimeoutSec, opts_.crashAttempts,
+                opts_.checkpointCycles, opts_.snapshotDir };
+        // The completion runs on the worker before it claims again, so
+        // draining here bounds the damage exactly, even at one worker.
+        std::unique_ptr<Dispatcher> dispatcher;
+        dispatcher = std::make_unique<Dispatcher>(
+            std::move(d), cache_,
+            [&](std::uint64_t, std::size_t i, JobResult r) {
+                if (record(i, std::move(r), nullptr))
+                    dispatcher->beginDrain();
+            });
+        dispatcher->enqueue(0, spec, pending);
+        dispatcher->close();
+    }
+
+    // Only a failure limit leaves jobs unclaimed (a completion never
+    // reports Skipped).  One whose result is cached still counts as a
+    // cache hit, never as skipped.
+    for (std::size_t i : pending) {
+        JobResult &r = out.results[i];
+        if (r.status != JobStatus::Skipped)
+            continue;
+        JobResult hit;
+        hit.key = r.key;
+        if (lookupCached(cache_, spec.jobs[i].tag, hit)) {
+            record(i, std::move(hit), nullptr);
+        } else {
+            r.error = "skipped: failure limit reached";
+            ++out.skipped;
+        }
+    }
+
+    out.wallMs = std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - sweepStart)
+                     .count();
     return out;
 }
 

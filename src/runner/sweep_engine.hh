@@ -1,34 +1,30 @@
 /**
  * @file
- * The sweep engine: executes a SweepSpec on a worker pool.
+ * The sweep engine: executes a SweepSpec locally.
  *
- * Execution model: the whole spec is validated first (all problems
- * reported at once, before any job runs), every job's cache key is
- * computed up front, cache hits are resolved immediately, and the
- * remaining jobs are issued to the pool longest-expected-first, which
- * keeps the tail of a sweep from being serialized behind one giant
- * simulation.  Each worker owns its entire GpuSim, so jobs share
- * nothing but the result slots (disjoint per job) and the
- * cache/progress locks.  Results are reported in spec order
+ * A thin client of the job-execution core (runner/dispatcher.hh):
+ * run() validates the whole spec first (all problems reported at
+ * once, before any job runs), adopts what a resume journal already
+ * holds, and hands every other job to a Dispatcher built for this
+ * run — in-process, or one `run-job` subprocess per job with
+ * `SweepOptions::isolate`.  Claim order, cache lookup and store,
+ * coalescing of duplicate keys and failure classification all happen
+ * there, exactly as on the farm.  Results are reported in spec order
  * regardless of completion order, making the merged output — and any
- * manifest derived from it — byte-identical for every worker count.
+ * manifest derived from it — byte-identical for every worker count,
+ * with or without isolation, and through the farm.
  *
- * Failure containment: a job that throws (WorkloadError from an
- * unrunnable kernel, HangError from the forward-progress watchdog,
- * anything else unexpected) is recorded in its JobResult and the
- * sweep carries on; `failFast` / `maxFailures` bound how much is
- * attempted after things start going wrong.  Transient cache I/O
- * faults are retried with bounded backoff and can degrade to a
- * miss / unsaved result, but never fail a job.
+ * Failure containment: a job that throws, hangs or crashes is
+ * recorded in its JobResult and the sweep carries on; `failFast` /
+ * `maxFailures` drain the Dispatcher from the completion that reaches
+ * the limit, before that worker claims again.  A job left unclaimed is
+ * then served from the cache if it can be, and reported as skipped
+ * otherwise.
  *
- * Process isolation (`SweepOptions::isolate`): each job is serialized
- * over a pipe to a `scsim_cli run-job` child and its result record
- * read back, so a crash — SIGSEGV, abort, OOM kill — is contained to
- * one job and recorded as JobStatus::Crashed with the fatal signal or
- * exit code.  Checkpointing (`journalPath` / `resumePath`): finished
- * jobs are durably appended to a journal, and a resumed sweep adopts
- * them instead of re-running, producing a manifest byte-identical to
- * an uninterrupted run.
+ * Checkpointing (`journalPath` / `resumePath`): finished jobs are
+ * durably appended to a journal as they complete, and a resumed sweep
+ * adopts them instead of re-running, producing a manifest
+ * byte-identical to an uninterrupted run.
  */
 
 #ifndef SCSIM_RUNNER_SWEEP_ENGINE_HH
@@ -84,10 +80,6 @@ class SweepEngine
     ResultCache &cache() { return cache_; }
 
   private:
-    /** Run @p job in a `run-job` child; fills @p r (never throws
-     *  for child-side outcomes — a crash becomes JobStatus::Crashed). */
-    void runIsolated(const SimJob &job, JobResult &r);
-
     SweepOptions opts_;
     ResultCache cache_;
 };

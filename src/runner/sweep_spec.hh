@@ -13,7 +13,6 @@
 #ifndef SCSIM_RUNNER_SWEEP_SPEC_HH
 #define SCSIM_RUNNER_SWEEP_SPEC_HH
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -76,27 +75,19 @@ struct SweepOptions
      */
     std::uint64_t cacheMaxBytes = 0;
 
-    /** Stream one line per completed job to @ref progressStream. */
+    /** Stream one line per completed job to stderr (never the
+     *  manifest). */
     bool progress = false;
-
-    /** Where progress lines go (never the manifest); default stderr. */
-    std::FILE *progressStream = nullptr;
 
     /**
      * Stop claiming new jobs after the first failure.  In-flight jobs
-     * finish; unclaimed jobs are reported as skipped.
+     * finish; an unclaimed job is reported as a cache hit when its
+     * result is cached and as skipped otherwise.
      */
     bool failFast = false;
 
     /** Stop claiming new jobs after this many failures; 0 = no limit. */
     std::uint64_t maxFailures = 0;
-
-    /**
-     * Attempts per cache I/O operation before a transient CacheError
-     * is given up on (the cache degrades to a miss / unsaved result,
-     * never a failed job).  Backoff doubles between attempts.
-     */
-    int cacheAttempts = 3;
 
     /**
      * Run each job in its own `scsim_cli run-job` subprocess so a

@@ -372,6 +372,77 @@ TEST_F(CheckpointTest, ResumeRejectsDamagedWarpBindings)
     EXPECT_EQ(runner::kSnapshotVersion, 1u);
 }
 
+TEST_F(CheckpointTest, ResumeRejectsDamagedCollectorBindings)
+{
+    // A collector unit's warp and the register file's queued reads and
+    // writes index the warp table and the collector units, so damage
+    // to any of them must be refused with CacheError before use.
+    KernelDesc kernel = microWorkload("fma-unbalanced");
+    std::vector<std::string> snaps;
+    SimEngine full(goldenBase());
+    sim::EngineObserver obs;
+    obs.onCheckpoint = [&](const std::string &payload, Cycle) {
+        snaps.push_back(payload);
+    };
+    full.addObserver(std::move(obs));
+    full.setCheckpointInterval(997);
+    full.run(kernel);
+
+    // The nth `key value` line whose value is @p value; -1 if none.
+    auto nthWith = [](const std::string &payload, const char *key,
+                      const std::string &value) {
+        for (int i = 0;; ++i) {
+            std::size_t at = fieldAt(payload, key, i);
+            if (at == std::string::npos)
+                return -1;
+            if (payload.compare(at, payload.find('\n', at) - at, value)
+                == 0)
+                return i;
+        }
+    };
+    // A snapshot with a busy CU, an idle CU and a queued read.
+    std::string snap;
+    int busy = -1, idle = -1;
+    for (const std::string &s : snaps) {
+        busy = nthWith(s, "cu.busy", "1");
+        idle = nthWith(s, "cu.busy", "0");
+        if (busy >= 0 && idle >= 0
+            && fieldAt(s, "rf.read.cu", 0) != std::string::npos) {
+            snap = s;
+            break;
+        }
+    }
+    ASSERT_FALSE(snap.empty());
+    // Writes drain within their cycle, so a snapshot's write queues
+    // are empty: damage one by queueing a write.
+    auto withWrite = [&](const std::string &warp) {
+        return setField(snap, "rf.writeq", 0,
+                        "1\nrf.write.warp " + warp + "\nrf.write.reg 0");
+    };
+
+    // A CU's busy and warp lines come in the same per-CU order.
+    const std::pair<const char *, std::string> cases[] = {
+        { "busy CU warp past the table",
+          setField(snap, "cu.warp", busy, "64") },
+        { "busy CU without a warp", setField(snap, "cu.warp", busy, "-1") },
+        { "idle CU bound to a warp", setField(snap, "cu.warp", idle, "0") },
+        { "write for a warp past the table", withWrite("64") },
+        { "write for a negative warp", withWrite("-1") },
+        { "read for a CU past the cluster",
+          setField(snap, "rf.read.cu", 0, "99") },
+        { "read for a negative CU", setField(snap, "rf.read.cu", 0, "-1") },
+    };
+    Application app = wrapKernel(kernel);
+    for (const auto &[what, payload] : cases) {
+        SCOPED_TRACE(what);
+        ASSERT_TRUE(payload != snap);
+        SimEngine engine(goldenBase());
+        EXPECT_THROW_WITH(engine.sim().resume(app, payload), CacheError,
+                          "out of range");
+    }
+    EXPECT_EQ(runner::kSnapshotVersion, 1u);
+}
+
 TEST_F(CheckpointTest, SnapshotWithBlockedAndBarrierWarpsResumesExactly)
 {
     // At cycle 24000 of this run some warps are hazard-blocked and

@@ -156,12 +156,14 @@ class FarmTest : public ::testing::Test
         FaultInjector::instance().reset();
         unsetenv("SCSIM_FAULT_CRASH");
         unsetenv("SCSIM_FAULT_CRASH_ONCE");
+        unsetenv("SCSIM_FAULT_HANG");
     }
     void TearDown() override
     {
         FaultInjector::instance().reset();
         unsetenv("SCSIM_FAULT_CRASH");
         unsetenv("SCSIM_FAULT_CRASH_ONCE");
+        unsetenv("SCSIM_FAULT_HANG");
     }
 };
 
@@ -707,6 +709,74 @@ TEST_F(FarmTest, SubmitMatchesLocalManifestAtAnyWorkerCount)
         EXPECT_EQ(runner::jsonManifest(spec, res), wantJson)
             << "workers=" << workers;
         EXPECT_EQ(runner::csvManifest(spec, res), wantCsv);
+    }
+}
+
+TEST_F(FarmTest, EveryExecutionPathAgreesOnManifestsAndCounts)
+{
+    // One spec through every path a job can take: SweepEngine at one
+    // and four workers, SweepEngine isolated, and the farm.  Two tags
+    // share a job key, one job hangs (armed here for in-process runs
+    // and through the environment for every run-job worker) and one
+    // cannot fit the SM.  Every path computes the shared key once.
+    FaultInjector::instance().armHang("hangapp");
+    setenv("SCSIM_FAULT_HANG", "hangapp", 1);
+
+    SweepSpec spec;
+    spec.add("a", tinyCfg(), tinyApp("appa"));
+    spec.add("a-again", tinyCfg(), tinyApp("appa"));
+    GpuConfig hangCfg = tinyCfg();
+    hangCfg.hangWindowCycles = 3000;
+    spec.add("hang", hangCfg, tinyApp("hangapp"));
+    AppSpec huge = tinyApp("hugeapp");
+    huge.regsPerThread = 256;
+    huge.warpsPerBlock = 16;
+    spec.add("huge", tinyCfg(), huge);
+    spec.add("b", tinyCfg(), tinyApp("appb"));
+    ASSERT_EQ(runner::jobKey(spec.jobs[0]), runner::jobKey(spec.jobs[1]));
+
+    std::vector<std::pair<std::string, SweepResult>> runs;
+    for (int jobs : { 1, 4 }) {
+        SweepOptions opts;
+        opts.jobs = jobs;
+        runs.emplace_back("jobs=" + std::to_string(jobs),
+                          SweepEngine(opts).run(spec));
+    }
+    {
+        SweepOptions opts;
+        opts.jobs = 2;
+        opts.isolate = true;
+        opts.selfExe = SCSIM_CLI_PATH;
+        runs.emplace_back("isolate", SweepEngine(opts).run(spec));
+    }
+    {
+        FarmServerOptions opts;
+        opts.workers = 2;
+        opts.cacheDir = freshDir("paths");
+        opts.quiet = true;
+        ServerRunner server(std::move(opts));
+        FarmClient client = FarmClient::connectTcpPort(server.port());
+        runs.emplace_back("farm", client.submit(spec, "paths", false));
+    }
+
+    const SweepResult &want = runs.front().second;
+    EXPECT_EQ(want.cacheHits, 1u);
+    EXPECT_EQ(want.executed, 4u);
+    EXPECT_EQ(want.failed, 2u);
+    EXPECT_EQ(want.skipped, 0u);
+    EXPECT_EQ(want.results[1].status, JobStatus::Cached);
+    EXPECT_EQ(want.results[2].status, JobStatus::Hang);
+    EXPECT_EQ(want.results[3].status, JobStatus::Failed);
+    const std::string wantJson = runner::jsonManifest(spec, want);
+    const std::string wantCsv = runner::csvManifest(spec, want);
+    for (const auto &[path, res] : runs) {
+        SCOPED_TRACE(path);
+        EXPECT_EQ(runner::jsonManifest(spec, res), wantJson);
+        EXPECT_EQ(runner::csvManifest(spec, res), wantCsv);
+        EXPECT_EQ(res.cacheHits, want.cacheHits);
+        EXPECT_EQ(res.executed, want.executed);
+        EXPECT_EQ(res.failed, want.failed);
+        EXPECT_EQ(res.skipped, want.skipped);
     }
 }
 

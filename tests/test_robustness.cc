@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,11 +20,11 @@
 #include "common/fault_inject.hh"
 #include "expect_throw.hh"
 #include "gpu/gpu_sim.hh"
+#include "runner/dispatcher.hh"
 #include "runner/job_key.hh"
 #include "runner/report.hh"
 #include "runner/result_cache.hh"
 #include "runner/sweep_engine.hh"
-#include "runner/worker_pool.hh"
 #include "workloads/microbench.hh"
 
 namespace scsim::runner {
@@ -381,6 +382,31 @@ TEST_F(RobustnessTest, FailFastSkipsRemainingJobs)
         }
 }
 
+TEST_F(RobustnessTest, FailFastNeverReportsACachedJobAsSkipped)
+{
+    // A job a failure limit leaves unclaimed is still served from the
+    // cache: a cache hit is never reported as skipped.
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.failFast = true;
+    SweepEngine engine{ opts };
+    SweepSpec warm;
+    warm.add("appA", tinyCfg(), tinyApp("appA"));
+    ASSERT_TRUE(engine.run(warm).allOk());
+
+    SweepSpec spec;
+    spec.add("bad", tinyCfg(), oversizedApp("bad", 64));  // claimed first
+    spec.add("appA", tinyCfg(), tinyApp("appA"));
+    spec.add("appB", tinyCfg(), tinyApp("appB"));
+    SweepResult res = engine.run(spec);
+    EXPECT_EQ(res.failed, 1u);
+    EXPECT_EQ(res.executed, 1u);
+    EXPECT_EQ(res.cacheHits, 1u);
+    EXPECT_EQ(res.skipped, 1u);
+    EXPECT_EQ(res.results[1].status, JobStatus::Cached);
+    EXPECT_EQ(res.results[2].status, JobStatus::Skipped);
+}
+
 TEST_F(RobustnessTest, MaxFailuresBoundsTheDamage)
 {
     SweepSpec spec;
@@ -400,34 +426,62 @@ TEST_F(RobustnessTest, MaxFailuresBoundsTheDamage)
 
 TEST_F(RobustnessTest, WorkerPoolCapturesPerJobExceptions)
 {
-    std::vector<std::size_t> order{ 0, 1, 2, 3 };
-    auto errors = runOrdered(order, 2, [](std::size_t i) {
-        if (i % 2)
-            throw WorkloadError("odd job " + std::to_string(i));
-    });
-    ASSERT_EQ(errors.size(), 4u);
-    EXPECT_FALSE(errors[0]);
-    EXPECT_TRUE(errors[1]);
-    EXPECT_FALSE(errors[2]);
-    EXPECT_TRUE(errors[3]);
-    EXPECT_THROW(std::rethrow_exception(errors[1]), WorkloadError);
+    // An in-process job that throws completes as Failed with the
+    // exception's message; its siblings are untouched.
+    SweepSpec spec;
+    for (int i = 0; i < 4; ++i) {
+        std::string name = "job" + std::to_string(i);
+        spec.add(name, tinyCfg(),
+                 i % 2 ? oversizedApp(name) : tinyApp(name));
+    }
+    std::vector<JobResult> results(spec.jobs.size());
+    ResultCache cache;
+    Dispatcher pool({ .workers = 2, .isolate = std::nullopt }, cache,
+                    [&](std::uint64_t, std::size_t i, JobResult r) {
+                        results[i] = std::move(r);
+                    });
+    pool.enqueue(0, spec, { 0, 1, 2, 3 });
+    pool.close();
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        SCOPED_TRACE(spec.jobs[i].tag);
+        if (i % 2) {
+            EXPECT_EQ(results[i].status, JobStatus::Failed);
+            EXPECT_NE(results[i].error.find("reg bytes"),
+                      std::string::npos);
+            EXPECT_EQ(results[i].stats.cycles, 0u);
+        } else {
+            EXPECT_EQ(results[i].status, JobStatus::Ok);
+            EXPECT_TRUE(results[i].error.empty());
+        }
+    }
+    EXPECT_EQ(pool.failedJobs(), 2u);
 }
 
 TEST_F(RobustnessTest, WorkerPoolStopPredicateHalts)
 {
-    std::vector<std::size_t> order{ 0, 1, 2, 3, 4 };
-    std::vector<int> ran(order.size(), 0);
-    auto errors = runOrdered(
-        order, 1,
-        [&](std::size_t i) {
+    // beginDrain() from a completion runs before that worker claims
+    // again, so a failure limit is exact at one worker.
+    SweepSpec spec;
+    for (int i = 0; i < 5; ++i) {
+        std::string name = "bad" + std::to_string(i);
+        spec.add(name, tinyCfg(), oversizedApp(name));
+    }
+    std::vector<int> ran(spec.jobs.size(), 0);
+    int failures = 0;
+    ResultCache cache;
+    std::unique_ptr<Dispatcher> pool;
+    pool = std::make_unique<Dispatcher>(
+        Dispatcher::Options{ .workers = 1, .isolate = std::nullopt }, cache,
+        [&](std::uint64_t, std::size_t i, JobResult r) {
             ran[i] = 1;
-            throw WorkloadError("always fails");
-        },
-        [](std::size_t failures) { return failures >= 2; });
+            if (!r.ok() && ++failures >= 2)
+                pool->beginDrain();
+        });
+    pool->enqueue(0, spec, { 0, 1, 2, 3, 4 });
+    pool->close();
     EXPECT_EQ(ran[0] + ran[1] + ran[2] + ran[3] + ran[4], 2);
-    EXPECT_TRUE(errors[0]);
-    EXPECT_TRUE(errors[1]);
-    EXPECT_FALSE(errors[2]);
+    EXPECT_EQ(ran[0] + ran[1], 2);  // equal costs: enqueue order
+    EXPECT_EQ(pool->queueDepth(), 3u);
 }
 
 } // namespace

@@ -18,11 +18,11 @@
 
 #include "expect_throw.hh"
 #include "runner/design.hh"
+#include "runner/dispatcher.hh"
 #include "runner/job_key.hh"
 #include "runner/report.hh"
 #include "runner/result_cache.hh"
 #include "runner/sweep_engine.hh"
-#include "runner/worker_pool.hh"
 
 namespace scsim::runner {
 namespace {
@@ -186,11 +186,22 @@ TEST(WorkerPool, ResolveJobs)
 
 TEST(WorkerPool, RunsEveryIndexOnce)
 {
-    std::vector<std::size_t> order { 4, 2, 0, 1, 3 };
-    std::vector<std::atomic<int>> hits(5);
-    runOrdered(order, 4, [&](std::size_t i) { ++hits[i]; });
+    // Every enqueued job of the Dispatcher completes exactly once.
+    SweepSpec spec;
+    for (const char *name : { "a0", "a1", "a2", "a3", "a4" })
+        spec.add(name, tinyCfg(), tinyApp(name));
+    std::vector<std::atomic<int>> hits(spec.jobs.size());
+    ResultCache cache;
+    Dispatcher pool({ .workers = 4, .isolate = std::nullopt }, cache,
+                    [&](std::uint64_t, std::size_t i, JobResult r) {
+                        EXPECT_EQ(r.status, JobStatus::Ok);
+                        ++hits[i];
+                    });
+    pool.enqueue(0, spec, { 4, 2, 0, 1, 3 });
+    pool.close();
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
+    EXPECT_EQ(pool.completed(), spec.jobs.size());
 }
 
 TEST(SweepEngine, ThreadCountInvariance)

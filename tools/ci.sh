@@ -11,9 +11,9 @@
 # suite in Release; `asan`/`tsan` rebuild with the sanitizer and run
 # the concurrency/robustness/farm/fuzz labels (including the >10k-
 # frame protocol fuzzer, so sanitized fuzzing is part of every run).
-# The opt-in daemon smokes (farm_smoke, farm_chaos_smoke,
-# checkpoint_smoke) stay opt-in — enable with
-# `cmake --preset default -DSCSIM_FARM_CHAOS_SMOKE=ON` first.
+# The four process-killing smokes (crash_sweep_smoke, farm_smoke,
+# farm_chaos_smoke, checkpoint_smoke) stay opt-in — enable all of
+# them with `cmake --preset default -DSCSIM_E2E_SMOKES=ON` first.
 #
 # `bench` is not a preset: it builds the benchmark project
 # (benchmark/) into build-bench, runs one bench-size pass of every

@@ -11,16 +11,17 @@
 #      its journal — the resumed manifests must be byte-identical to
 #      an uninterrupted run's.
 #
-# Usage: tools/crash_sweep_smoke.sh [build-dir]    (default: build)
+# Usage: tools/crash_sweep_smoke.sh [path-to-scsim_cli]   (default:
+#        build/tools/scsim_cli)
 
 set -euo pipefail
 
-BUILD=${1:-build}
-CLI=$BUILD/tools/scsim_cli
+CLI=${1:-build/tools/scsim_cli}
 if [ ! -x "$CLI" ]; then
     echo "error: $CLI not found — build the default preset first" >&2
     exit 2
 fi
+CLI=$(readlink -f "$CLI")
 
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/scsim_smoke.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT

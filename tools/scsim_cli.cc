@@ -49,8 +49,9 @@
  * killing the sweep; `--journal`/`--resume` checkpoint finished jobs
  * so an interrupted sweep continues where it stopped.  The
  * SCSIM_FAULT_CRASH environment variable (`<token>[:abort|:<sig>]`)
- * arms a deterministic mid-kernel crash in `run-job` workers — test
- * machinery for the containment path.
+ * arms a deterministic mid-kernel crash in `run-job` workers, and
+ * SCSIM_FAULT_HANG (`<token>`) a synthetic hang for the watchdog to
+ * contain — test machinery for the containment paths.
  */
 
 #include <cerrno>
@@ -76,6 +77,7 @@
 #include "farm/farm_server.hh"
 #include "farm/protocol.hh"
 #include "runner/design.hh"
+#include "runner/dispatcher.hh"
 #include "runner/journal.hh"
 #include "sim/engine.hh"
 #include "sim/registry.hh"
@@ -558,6 +560,9 @@ cmdRunJob(const Args &args)
         }
     }
 
+    if (const char *hang = std::getenv("SCSIM_FAULT_HANG"))
+        FaultInjector::instance().armHang(hang);
+
     if (const char *snap = std::getenv("SCSIM_FAULT_SNAPSHOT_WRITE"))
         if (!FaultInjector::instance().armSnapshotWriteFromEnv(snap))
             scsim_warn("ignoring unparsable SCSIM_FAULT_SNAPSHOT_WRITE"
@@ -633,7 +638,7 @@ cmdRunJob(const Args &args)
     }
 
     auto start = std::chrono::steady_clock::now();
-    try {
+    classifyRun(r, [&] {
         sim::SimEngine engine(job.cfg);
         bool snapshotsDead = false;  // disk trouble: degrade, once
         if (checkpointing) {
@@ -667,28 +672,17 @@ cmdRunJob(const Args &args)
         }
         if (!resumeState.empty()) {
             try {
-                r.stats = engine.resumeApp(job.app, job.salt,
-                                           resumeState);
+                r.stats = engine.resumeApp(job.app, job.salt, resumeState);
+                r.status = JobStatus::Ok;
+                return;
             } catch (const CacheError &e) {
                 scsim_warn("run-job: snapshot rejected (%s)", e.what());
                 quarantine("unusable");
-                r.stats = engine.runApp(job.app, job.salt,
-                                        job.concurrent);
             }
-        } else {
-            r.stats = engine.runApp(job.app, job.salt, job.concurrent);
         }
+        r.stats = engine.runApp(job.app, job.salt, job.concurrent);
         r.status = JobStatus::Ok;
-    } catch (const HangError &e) {
-        r.stats = SimStats{};
-        r.status = JobStatus::Hang;
-        r.error = e.what();
-        std::fprintf(stderr, "%s", e.diagnostic().c_str());
-    } catch (const std::exception &e) {
-        r.stats = SimStats{};
-        r.status = JobStatus::Failed;
-        r.error = e.what();
-    }
+    });
     r.wallMs = std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - start)
                    .count();
