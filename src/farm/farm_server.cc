@@ -688,10 +688,14 @@ FarmServer::performDrain()
     // the join, every completion is in the queue; drain it once and
     // every finished job is journaled and streamed.
     dispatcher_->stop();
+    // A queued job the shared cache already holds costs nothing to
+    // finish: complete it (journaled and streamed as a cache hit)
+    // rather than leave it to --resume.
+    dispatcher_->serveQueuedFromCache();
     drainCompletions();
 
-    // Sweeps still pending lost their queued jobs to the drain: tell
-    // each attached client exactly where it stands.
+    // Sweeps still pending lost their other queued jobs to the drain:
+    // tell each attached client exactly where it stands.
     for (auto &[id, sw] : sweeps_) {
         if (!sw.owner)
             continue;

@@ -42,41 +42,39 @@ const std::vector<DesignInfo> &
 designCatalog()
 {
     static const std::vector<DesignInfo> table = {
-        { Design::Baseline, "Baseline", "",
+        { "Baseline", "",
           "GTO + RR on the partitioned SM",
           overlay(std::nullopt, std::nullopt) },
-        { Design::RBA, "RBA", "",
+        { "RBA", "",
           "register-bank-aware warp scheduler",
           overlay(SchedulerPolicy::RBA, std::nullopt) },
-        { Design::SRR, "SRR", "",
+        { "SRR", "",
           "skewed-round-robin warp-to-subcore assignment",
           overlay(std::nullopt, AssignPolicy::SRR) },
-        { Design::Shuffle, "Shuffle", "",
+        { "Shuffle", "",
           "shuffled warp-to-subcore assignment",
           overlay(std::nullopt, AssignPolicy::Shuffle) },
-        { Design::ShuffleRBA, "Shuffle+RBA", "ShuffleRBA",
+        { "Shuffle+RBA", "ShuffleRBA",
           "shuffled assignment + RBA scheduler (the paper's proposal)",
           overlay(SchedulerPolicy::RBA, AssignPolicy::Shuffle) },
-        { Design::FullyConnected, "Fully-Connected",
-          "FullyConnected FC",
+        { "Fully-Connected", "FullyConnected FC",
           "unpartitioned SM: one sub-core spans the register file",
           overlay(std::nullopt, std::nullopt, 1) },
-        { Design::FullyConnectedRBA, "FC+RBA",
-          "FullyConnectedRBA FCRBA",
+        { "FC+RBA", "FullyConnectedRBA FCRBA",
           "unpartitioned SM + RBA scheduler",
           overlay(SchedulerPolicy::RBA, std::nullopt, 1) },
-        { Design::BankStealing, "BankStealing", "",
+        { "BankStealing", "",
           "operand collectors may steal idle remote bank ports",
           overlay(std::nullopt, std::nullopt, std::nullopt, true) },
-        { Design::Cus4, "4 CUs", "Cus4",
+        { "4 CUs", "Cus4",
           "4 collector units per sub-core",
           overlay(std::nullopt, std::nullopt, std::nullopt,
                   std::nullopt, 4) },
-        { Design::Cus8, "8 CUs", "Cus8",
+        { "8 CUs", "Cus8",
           "8 collector units per sub-core",
           overlay(std::nullopt, std::nullopt, std::nullopt,
                   std::nullopt, 8) },
-        { Design::Cus16, "16 CUs", "Cus16",
+        { "16 CUs", "Cus16",
           "16 collector units per sub-core",
           overlay(std::nullopt, std::nullopt, std::nullopt,
                   std::nullopt, 16) },
@@ -84,21 +82,12 @@ designCatalog()
     return table;
 }
 
-const char *
-toString(Design d)
-{
-    for (const DesignInfo &info : designCatalog())
-        if (info.id == d)
-            return info.name;
-    return "?";
-}
-
-Design
-parseDesign(const std::string &name)
+const DesignInfo &
+findDesign(const std::string &name)
 {
     for (const DesignInfo &info : designCatalog())
         if (name == info.name || matchesAlias(info.aliases, name))
-            return info.id;
+            return info;
     std::ostringstream valid;
     const char *sep = "";
     for (const DesignInfo &info : designCatalog()) {
@@ -109,43 +98,21 @@ parseDesign(const std::string &name)
                 name.c_str(), valid.str().c_str());
 }
 
-std::vector<Design>
-allDesigns()
-{
-    std::vector<Design> out;
-    out.reserve(designCatalog().size());
-    for (const DesignInfo &info : designCatalog())
-        out.push_back(info.id);
-    return out;
-}
-
 GpuConfig
-applyDesign(GpuConfig cfg, Design d)
+designConfig(GpuConfig cfg, const std::string &name)
 {
-    for (const DesignInfo &info : designCatalog()) {
-        if (info.id != d)
-            continue;
-        const DesignOverlay &o = info.overlay;
-        if (o.scheduler)
-            cfg.scheduler = *o.scheduler;
-        if (o.assign)
-            cfg.assign = *o.assign;
-        if (o.cusPerSubcore)
-            cfg.collectorUnitsPerSm = *o.cusPerSubcore * cfg.subCores;
-        if (o.subCores)
-            cfg.subCores = *o.subCores;
-        if (o.bankStealing)
-            cfg.bankStealing = *o.bankStealing;
-        return cfg;
-    }
-    scsim_panic("design %d missing from the catalogue",
-                static_cast<int>(d));
-}
-
-GpuConfig
-designConfig(GpuConfig base, const std::string &name)
-{
-    return applyDesign(std::move(base), parseDesign(name));
+    const DesignOverlay &o = findDesign(name).overlay;
+    if (o.scheduler)
+        cfg.scheduler = *o.scheduler;
+    if (o.assign)
+        cfg.assign = *o.assign;
+    if (o.cusPerSubcore)
+        cfg.collectorUnitsPerSm = *o.cusPerSubcore * cfg.subCores;
+    if (o.subCores)
+        cfg.subCores = *o.subCores;
+    if (o.bankStealing)
+        cfg.bankStealing = *o.bankStealing;
+    return cfg;
 }
 
 } // namespace scsim::runner

@@ -2,18 +2,18 @@
  * @file
  * Named design points evaluated across the paper's figures.
  *
- * A Design is a delta on top of a baseline GpuConfig: the scheduler /
+ * A design is a delta on top of a baseline GpuConfig: the scheduler /
  * assignment policy combinations of Section IV plus the
  * fully-connected SM and the collector-unit / bank-stealing
- * comparison points.  Lives in the library (rather than the bench
- * harness) so the sweep engine, the CLI and the figure binaries all
- * agree on what "Shuffle+RBA" means.
+ * comparison points.  Lives in the library so the sweep engine, the
+ * CLI and the figure catalog all agree on what "Shuffle+RBA" means.
  *
  * The catalogue is a data table (designCatalog()): one row holds the
  * display name, the command-line aliases, a one-line description, and
  * the config overlay — adding a design point is adding a row, visible
  * at once to `scsim_cli list-designs`, the sweep engine, and every
- * figure binary.
+ * figure.  Designs are named, never numbered: findDesign() is the one
+ * resolver.
  */
 
 #ifndef SCSIM_RUNNER_DESIGN_HH
@@ -26,22 +26,6 @@
 #include "config/gpu_config.hh"
 
 namespace scsim::runner {
-
-/** The design points evaluated across the paper's figures. */
-enum class Design
-{
-    Baseline,        //!< GTO + RR on the partitioned SM
-    RBA,
-    SRR,
-    Shuffle,
-    ShuffleRBA,
-    FullyConnected,
-    FullyConnectedRBA,
-    BankStealing,
-    Cus4,            //!< 4 CUs per sub-core
-    Cus8,
-    Cus16,
-};
 
 /**
  * The config delta a design point applies to a baseline.  Absent
@@ -58,10 +42,9 @@ struct DesignOverlay
     std::optional<int> cusPerSubcore;
 };
 
-/** One catalogue row: identity, naming, documentation, overlay. */
+/** One catalogue row: naming, documentation, overlay. */
 struct DesignInfo
 {
-    Design id;
     const char *name;         //!< display form ("Shuffle+RBA")
     /** Identifier aliases usable on a command line (no '+', ' ', '-'),
      *  space-separated; empty when the display form needs none. */
@@ -70,28 +53,19 @@ struct DesignInfo
     DesignOverlay overlay;
 };
 
-/** The full design table, in declaration order (Baseline first). */
+/** The full design table (Baseline first). */
 const std::vector<DesignInfo> &designCatalog();
 
-const char *toString(Design d);
-
 /**
- * Parse a design name; accepts both the display form ("Shuffle+RBA")
+ * Resolve a design name; accepts both the display form ("Shuffle+RBA")
  * and the identifier aliases ("ShuffleRBA", "FC", ...).  Throws
  * ConfigError listing the valid names on unknown input.
  */
-Design parseDesign(const std::string &name);
-
-/** Every design point, in declaration order (Baseline first). */
-std::vector<Design> allDesigns();
-
-/** Apply one design point's overlay to a baseline configuration. */
-GpuConfig applyDesign(GpuConfig cfg, Design d);
+const DesignInfo &findDesign(const std::string &name);
 
 /**
- * Name-based form of applyDesign: resolve @p name through the
- * catalogue (ConfigError listing valid names if unknown) and apply its
- * overlay to @p base.  The path the CLI and the bench harness use.
+ * Resolve @p name through findDesign() and apply its overlay to
+ * @p base.
  */
 GpuConfig designConfig(GpuConfig base, const std::string &name);
 

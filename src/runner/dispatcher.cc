@@ -138,6 +138,37 @@ Dispatcher::stop()
 }
 
 void
+Dispatcher::serveQueuedFromCache()
+{
+    // The workers are joined, so nothing is in flight and nothing is
+    // parked: every unclaimed job is in ready_.
+    std::vector<Queued> queued;
+    {
+        std::lock_guard lock(mutex_);
+        queued.swap(ready_);
+    }
+    std::sort(queued.begin(), queued.end(),
+              [](const Queued &a, const Queued &b) { return a.seq < b.seq; });
+    std::vector<Queued> missed;
+    for (Queued &q : queued) {
+        JobResult r;
+        r.key = q.key;
+        if (!lookupCached(cache_, q.job.tag, r)) {
+            missed.push_back(std::move(q));
+            continue;
+        }
+        {
+            std::lock_guard lock(mutex_);
+            ++completed_;
+        }
+        onComplete_(q.sweepId, q.index, std::move(r));
+    }
+    std::lock_guard lock(mutex_);
+    ready_ = std::move(missed);
+    std::make_heap(ready_.begin(), ready_.end(), claimsLater<Queued>);
+}
+
+void
 Dispatcher::join()
 {
     // Idempotent: join() is guarded, so a second stop() (or stop()

@@ -126,6 +126,14 @@ class Dispatcher
     /** Stop claiming; finish in-flight jobs; join the workers. */
     void stop();
 
+    /**
+     * After stop() or a drained close(): complete every job still
+     * queued whose result the cache holds, as a cache hit, in enqueue
+     * order.  The rest stay queued, unclaimed.  A drain thereby costs
+     * only the jobs that would have had to run.
+     */
+    void serveQueuedFromCache();
+
     // ---- introspection (thread-safe) ----------------------------------
     int workers() const { return static_cast<int>(threads_.size()); }
     std::uint64_t queueDepth() const;  //!< ready + parked duplicates

@@ -159,23 +159,20 @@ SweepEngine::run(const SweepSpec &spec)
             });
         dispatcher->enqueue(0, spec, pending);
         dispatcher->close();
+        // Only a failure limit leaves jobs unclaimed.  One whose
+        // result is cached still counts as a cache hit, never as
+        // skipped.
+        dispatcher->serveQueuedFromCache();
     }
 
-    // Only a failure limit leaves jobs unclaimed (a completion never
-    // reports Skipped).  One whose result is cached still counts as a
-    // cache hit, never as skipped.
+    // A completion never reports Skipped, so what is left was never
+    // claimed.
     for (std::size_t i : pending) {
         JobResult &r = out.results[i];
         if (r.status != JobStatus::Skipped)
             continue;
-        JobResult hit;
-        hit.key = r.key;
-        if (lookupCached(cache_, spec.jobs[i].tag, hit)) {
-            record(i, std::move(hit), nullptr);
-        } else {
-            r.error = "skipped: failure limit reached";
-            ++out.skipped;
-        }
+        r.error = "skipped: failure limit reached";
+        ++out.skipped;
     }
 
     out.wallMs = std::chrono::duration<double, std::milli>(

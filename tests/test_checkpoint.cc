@@ -483,8 +483,8 @@ TEST_F(CheckpointTest, ResumedRunMatchesGoldenFingerprintsEverywhere)
     const char *workloads[] = { "fma-unbalanced", "imbalance:4",
                                 "conflict:0" };
     GpuConfig base = goldenBase();
-    for (runner::Design d : runner::allDesigns()) {
-        std::string name = runner::toString(d);
+    for (const runner::DesignInfo &d : runner::designCatalog()) {
+        std::string name = d.name;
         ASSERT_TRUE(goldens.count(name)) << "no goldens for " << name;
         for (const char *w : workloads) {
             KernelDesc kernel = microWorkload(w);

@@ -29,7 +29,6 @@
 namespace scsim {
 namespace {
 
-using runner::Design;
 using sim::AssignerContext;
 using sim::Registry;
 using sim::SimEngine;
@@ -125,8 +124,8 @@ TEST(DesignCatalog, AllDesignsOrderStable)
     // Baseline first, then the paper's Section IV points, then the
     // comparison points.
     std::vector<std::string> names;
-    for (Design d : runner::allDesigns())
-        names.push_back(runner::toString(d));
+    for (const runner::DesignInfo &d : runner::designCatalog())
+        names.push_back(d.name);
     EXPECT_EQ(names,
               (std::vector<std::string>{
                   "Baseline", "RBA", "SRR", "Shuffle", "Shuffle+RBA",
@@ -137,24 +136,24 @@ TEST(DesignCatalog, AllDesignsOrderStable)
 
 TEST(DesignCatalog, ParseAcceptsDisplayNamesAndAliases)
 {
-    EXPECT_EQ(runner::parseDesign("Shuffle+RBA"), Design::ShuffleRBA);
-    EXPECT_EQ(runner::parseDesign("ShuffleRBA"), Design::ShuffleRBA);
-    EXPECT_EQ(runner::parseDesign("FC"), Design::FullyConnected);
-    EXPECT_EQ(runner::parseDesign("FCRBA"), Design::FullyConnectedRBA);
-    EXPECT_EQ(runner::parseDesign("Cus16"), Design::Cus16);
-    EXPECT_EQ(runner::parseDesign("16 CUs"), Design::Cus16);
+    EXPECT_STREQ(runner::findDesign("Shuffle+RBA").name, "Shuffle+RBA");
+    EXPECT_STREQ(runner::findDesign("ShuffleRBA").name, "Shuffle+RBA");
+    EXPECT_STREQ(runner::findDesign("FC").name, "Fully-Connected");
+    EXPECT_STREQ(runner::findDesign("FCRBA").name, "FC+RBA");
+    EXPECT_STREQ(runner::findDesign("Cus16").name, "16 CUs");
+    EXPECT_STREQ(runner::findDesign("16 CUs").name, "16 CUs");
 }
 
 TEST(DesignCatalog, ParseUnknownThrowsConfigErrorListingNames)
 {
-    EXPECT_THROW_WITH(runner::parseDesign("Turbo"), ConfigError,
+    EXPECT_THROW_WITH(runner::findDesign("Turbo"), ConfigError,
                       "unknown design 'Turbo' (valid: Baseline");
 }
 
 TEST(DesignCatalog, OverlaysMatchTheSeedSemantics)
 {
     GpuConfig base = GpuConfig::volta();
-    GpuConfig rba = runner::applyDesign(base, Design::RBA);
+    GpuConfig rba = runner::designConfig(base, "RBA");
     EXPECT_EQ(rba.scheduler, SchedulerPolicy::RBA);
     EXPECT_EQ(rba.assign, base.assign);
 
@@ -271,8 +270,8 @@ TEST(EngineEquivalence, RegistryPathMatchesSeedFingerprints)
     const char *workloads[] = { "fma-unbalanced", "imbalance:4",
                                 "conflict:0" };
     GpuConfig base = goldenBase();
-    for (Design d : runner::allDesigns()) {
-        std::string name = runner::toString(d);
+    for (const runner::DesignInfo &d : runner::designCatalog()) {
+        std::string name = d.name;
         ASSERT_TRUE(goldens.count(name)) << "no goldens for " << name;
         for (const char *w : workloads) {
             SimEngine engine(runner::designConfig(base, name));

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1184,6 +1185,66 @@ TEST_F(FarmTest, DrainFinishesInFlightAndResumeMatchesLocalManifest)
               runner::jsonManifest(spec, local));
     EXPECT_EQ(runner::csvManifest(spec, res),
               runner::csvManifest(spec, local));
+}
+
+TEST_F(FarmTest, DrainCompletesQueuedJobsTheCacheHolds)
+{
+    // One long job holds the only worker while the drain lands.  Of
+    // the four jobs queued behind it, the three whose results the
+    // cache already holds must arrive as cache hits, journaled, not be
+    // left to --resume.
+    std::string cacheDir = freshDir("drain_cached_cache");
+    SweepSpec spec = threeJobSpec();
+    {
+        SweepOptions opts;
+        opts.jobs = 2;
+        opts.cacheDir = cacheDir;
+        SweepEngine(opts).run(spec);
+    }
+    AppSpec big = tinyApp("big", 20000);
+    big.baseInsts = 4000;
+    spec.add("big", tinyCfg(), big);
+    spec.add("d", tinyCfg(), tinyApp("appd"));
+
+    FarmServerOptions opts;
+    opts.workers = 1;
+    opts.cacheDir = cacheDir;
+    opts.stateDir = freshDir("drain_cached_state");
+    opts.jobTimeoutSec = 2.0;  // bounds how long "big" holds the worker
+    opts.crashAttempts = 1;
+    opts.quiet = true;
+    ServerRunner server(std::move(opts));
+
+    std::vector<JobDoneMsg> done;
+    std::string error;
+    std::thread submitter([&] {
+        FarmClient client = FarmClient::connectTcpPort(server.port());
+        try {
+            client.submit(spec, "drain-cached", false,
+                          [&](const JobDoneMsg &m) { done.push_back(m); });
+        } catch (const SimError &e) {
+            error = e.what();
+        }
+    });
+    // Drain once "big" (the costliest, so claimed first) is running.
+    FarmClient probe = FarmClient::connectTcpPort(server.port());
+    auto deadline = std::chrono::steady_clock::now()
+        + std::chrono::seconds(60);
+    while (probe.status().inFlight == 0
+           && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    probe.drain();
+    submitter.join();
+    server.waitExit();
+
+    std::set<std::size_t> cached;
+    for (const JobDoneMsg &m : done)
+        if (m.result.cached)
+            cached.insert(static_cast<std::size_t>(m.index));
+    EXPECT_EQ(cached, (std::set<std::size_t>{ 0, 1, 2 }));
+    EXPECT_NE(error.find("interrupted with 4 of 5 jobs journaled"),
+              std::string::npos)
+        << error;
 }
 
 TEST_F(FarmTest, SubmitAfterDrainRequestIsNeverAdmitted)

@@ -57,11 +57,8 @@ tinySpec()
     GpuConfig base = tinyCfg();
     for (const char *name : { "appA", "appB", "appC" }) {
         AppSpec app = tinyApp(name);
-        for (Design d :
-             { Design::Baseline, Design::RBA, Design::Shuffle }) {
-            spec.add(app.name + std::string("|") + toString(d),
-                     applyDesign(base, d), app);
-        }
+        for (const char *d : { "Baseline", "RBA", "Shuffle" })
+            spec.add(app.name + "|" + d, designConfig(base, d), app);
     }
     return spec;
 }
@@ -330,7 +327,7 @@ TEST(ExpectedCost, OrdersByWork)
     // A fully-connected SM costs more to simulate than a partitioned
     // one for identical work.
     SimJob fc = small;
-    fc.cfg = applyDesign(tinyCfg(), Design::FullyConnected);
+    fc.cfg = designConfig(tinyCfg(), "Fully-Connected");
     EXPECT_GT(fc.expectedCost(), small.expectedCost());
 }
 

@@ -17,6 +17,10 @@
  *                  [--isolate] [--timeout SECONDS] [--retries N]
  *                  [--journal FILE] [--resume FILE]
  *                  [--checkpoint-cycles N --state-dir DIR]
+ *   scsim_cli figure [<name>... | --all] [--scale S] [--jobs N]
+ *                  [--cache-dir DIR] [--isolate] [other sweep
+ *                  execution options]   (paper figures; no name lists
+ *                  the catalog)
  *   scsim_cli run-job [--checkpoint-cycles N --state-dir DIR]
  *                  (internal: one isolated sweep job; reads an
  *                  scsim-job record on stdin, writes an scsim-jobres
@@ -76,6 +80,7 @@
 #include "farm/farm_client.hh"
 #include "farm/farm_server.hh"
 #include "farm/protocol.hh"
+#include "figures/catalog.hh"
 #include "runner/design.hh"
 #include "runner/dispatcher.hh"
 #include "runner/journal.hh"
@@ -98,6 +103,7 @@ struct Args
     std::string command;
     std::map<std::string, std::string> options;
     std::vector<std::string> sets;
+    std::vector<std::string> names;  //!< `figure` positionals
 };
 
 /**
@@ -110,6 +116,8 @@ isBooleanFlag(const std::string &command, const std::string &flag)
 {
     if (flag == "concurrent" || flag == "quiet" || flag == "fail-fast"
         || flag == "isolate")
+        return true;
+    if (command == "figure" && flag == "all")
         return true;
     if (command == "submit"
         && (flag == "detach" || flag == "resume"))
@@ -128,14 +136,18 @@ parseArgs(int argc, char **argv)
     Args args;
     if (argc < 2)
         scsim_fatal(
-            "usage: scsim_cli <run|sweep|run-job|serve|submit|status|"
-            "drain|checkpoint|version|list|list-designs|list-policies|"
-            "dump|info> [options]");
+            "usage: scsim_cli <run|sweep|figure|run-job|serve|submit|"
+            "status|drain|checkpoint|version|list|list-designs|"
+            "list-policies|dump|info> [options]");
     args.command = argv[1];
     for (int i = 2; i < argc; ++i) {
         std::string flag = argv[i];
-        if (flag.rfind("--", 0) != 0)
-            scsim_fatal("unexpected argument '%s'", flag.c_str());
+        if (flag.rfind("--", 0) != 0) {
+            if (args.command != "figure")
+                scsim_fatal("unexpected argument '%s'", flag.c_str());
+            args.names.push_back(flag);
+            continue;
+        }
         flag.erase(0, 2);
         if (isBooleanFlag(args.command, flag)) {
             args.options[flag] = "1";
@@ -292,7 +304,7 @@ splitList(const std::string &csv)
 struct SweepSelection
 {
     std::vector<AppSpec> apps;
-    std::vector<runner::Design> designs;
+    std::vector<std::string> designs;  //!< display names, Baseline first
     runner::SweepSpec spec;
 };
 
@@ -336,17 +348,19 @@ selectSweep(const Args &args)
     if (apps.empty())
         scsim_fatal("sweep selected no applications");
 
-    std::vector<Design> &designs = sel.designs;
-    designs = { Design::Baseline };
+    std::vector<std::string> &designs = sel.designs;
+    designs = { designCatalog().front().name };
     if (auto it = args.options.find("designs");
         it != args.options.end()) {
         if (it->second == "all") {
-            designs = allDesigns();
+            designs.clear();
+            for (const DesignInfo &info : designCatalog())
+                designs.emplace_back(info.name);
         } else {
             for (const std::string &name : splitList(it->second)) {
-                Design d;
+                const DesignInfo *d;
                 try {
-                    d = parseDesign(name);
+                    d = &findDesign(name);
                 } catch (const ConfigError &e) {
                     // Unknown name: print the menu, not a stack trace.
                     std::fprintf(stderr, "fatal: %s\n"
@@ -356,8 +370,8 @@ selectSweep(const Args &args)
                                      info.description);
                     std::exit(1);
                 }
-                if (d != Design::Baseline)
-                    designs.push_back(d);
+                if (d->name != designs.front())
+                    designs.emplace_back(d->name);
             }
         }
     }
@@ -368,9 +382,9 @@ selectSweep(const Args &args)
     bool concurrent = args.options.count("concurrent") > 0;
 
     for (const AppSpec &app : apps) {
-        for (Design d : designs) {
-            SimJob &job = sel.spec.add(app.name + "|" + toString(d),
-                                       applyDesign(base, d), app);
+        for (const std::string &d : designs) {
+            SimJob &job = sel.spec.add(app.name + "|" + d,
+                                       designConfig(base, d), app);
             job.salt = salt;
             job.concurrent = concurrent;
         }
@@ -396,14 +410,13 @@ printSpeedupTable(const SweepSelection &sel,
         scsim_panic("sweep result missing tag '%s'", tag.c_str());
     };
     std::printf("%-16s %12s", "app", "base-cycles");
-    for (Design d : sel.designs)
-        if (d != Design::Baseline)
-            std::printf(" %12s", toString(d));
+    for (std::size_t i = 1; i < sel.designs.size(); ++i)
+        std::printf(" %12s", sel.designs[i].c_str());
     std::printf("\n");
     std::vector<std::vector<double>> perDesign(sel.designs.size());
     for (const AppSpec &app : sel.apps) {
         const JobResult &base = resultFor(
-            app.name + "|" + toString(Design::Baseline));
+            app.name + "|" + sel.designs.front());
         if (base.ok())
             std::printf("%-16s %12llu", app.name.c_str(),
                         static_cast<unsigned long long>(
@@ -411,11 +424,9 @@ printSpeedupTable(const SweepSelection &sel,
         else
             std::printf("%-16s %12s", app.name.c_str(),
                         toString(base.status));
-        for (std::size_t i = 0; i < sel.designs.size(); ++i) {
-            if (sel.designs[i] == Design::Baseline)
-                continue;
+        for (std::size_t i = 1; i < sel.designs.size(); ++i) {
             const JobResult &r = resultFor(
-                app.name + "|" + toString(sel.designs[i]));
+                app.name + "|" + sel.designs[i]);
             if (base.ok() && r.ok() && r.stats.cycles) {
                 double s = static_cast<double>(base.stats.cycles)
                     / static_cast<double>(r.stats.cycles);
@@ -430,26 +441,17 @@ printSpeedupTable(const SweepSelection &sel,
     }
     if (sel.designs.size() > 1) {
         std::printf("%-16s %12s", "MEAN", "");
-        for (std::size_t i = 0; i < sel.designs.size(); ++i)
-            if (sel.designs[i] != Design::Baseline)
-                std::printf(" %12.3f", mean(perDesign[i]));
+        for (std::size_t i = 1; i < sel.designs.size(); ++i)
+            std::printf(" %12.3f", mean(perDesign[i]));
         std::printf("\n");
     }
 }
 
-/**
- * `sweep`: run (application x design) points on the parallel engine
- * and emit a structured manifest.
- */
-int
-cmdSweep(const Args &args)
+/** How to execute a sweep: the flags `sweep` and `figure` share. */
+runner::SweepOptions
+sweepOptionsFor(const Args &args)
 {
-    using namespace scsim::runner;
-
-    SweepSelection sel = selectSweep(args);
-    SweepSpec &spec = sel.spec;
-
-    SweepOptions opts;
+    runner::SweepOptions opts;
     if (auto it = args.options.find("jobs"); it != args.options.end())
         opts.jobs = std::stoi(it->second);
     if (auto it = args.options.find("cache-dir");
@@ -491,6 +493,21 @@ cmdSweep(const Args &args)
     if (opts.checkpointCycles && !opts.isolate)
         scsim_fatal("--checkpoint-cycles only applies to isolated "
                     "sweeps (add --isolate)");
+    return opts;
+}
+
+/**
+ * `sweep`: run (application x design) points on the parallel engine
+ * and emit a structured manifest.
+ */
+int
+cmdSweep(const Args &args)
+{
+    using namespace scsim::runner;
+
+    SweepSelection sel = selectSweep(args);
+    SweepSpec &spec = sel.spec;
+    SweepOptions opts = sweepOptionsFor(args);
 
     SweepEngine engine(opts);
     SweepResult res = engine.run(spec);
@@ -503,6 +520,48 @@ cmdSweep(const Args &args)
     printSpeedupTable(sel, res);
     std::fprintf(stderr, "%s\n", summaryLine(res, opts.jobs).c_str());
     return res.allOk() ? 0 : 1;
+}
+
+/**
+ * `figure`: print paper figures from the catalog (figures/catalog.hh)
+ * on stdout; progress and one summary line per figure go to stderr.
+ * With no name (and no --all) it lists the catalog.
+ */
+int
+cmdFigure(const Args &args)
+{
+    using namespace scsim::figures;
+
+    std::vector<const Figure *> figs;
+    if (args.options.count("all"))
+        for (const Figure &f : catalog())
+            figs.push_back(&f);
+    for (const std::string &name : args.names)
+        figs.push_back(&findFigure(name));
+    if (figs.empty()) {
+        for (const Figure &f : catalog())
+            std::printf("%-26s %s\n", f.name, f.title);
+        return 0;
+    }
+
+    runner::SweepOptions opts = sweepOptionsFor(args);
+    if (figs.size() > 1 && !opts.journalPath.empty())
+        scsim_fatal("--journal/--resume name one sweep; run one figure, "
+                    "or resume several through --cache-dir");
+    double scale = 0;  // each figure's default
+    if (args.options.count("scale"))
+        scale = scaleFor(args);
+    for (std::size_t i = 0; i < figs.size(); ++i) {
+        if (i)
+            std::cout << '\n';
+        runner::SweepResult res = runFigure(*figs[i], scale, opts,
+                                            std::cout);
+        std::cout.flush();
+        if (!res.tags.empty())
+            std::fprintf(stderr, "%s: %s\n", figs[i]->name,
+                         runner::summaryLine(res, opts.jobs).c_str());
+    }
+    return 0;
 }
 
 /**
@@ -1175,6 +1234,8 @@ main(int argc, char **argv)
             return cmdRun(args);
         if (args.command == "sweep")
             return cmdSweep(args);
+        if (args.command == "figure")
+            return cmdFigure(args);
         if (args.command == "run-job")
             return cmdRunJob(args);
         if (args.command == "checkpoint")
@@ -1199,9 +1260,9 @@ main(int argc, char **argv)
             return cmdDump(args);
         if (args.command == "info")
             return cmdInfo(args);
-        scsim_fatal("unknown command '%s' (try run/sweep/run-job/"
-                    "serve/submit/status/checkpoint/version/list/"
-                    "list-designs/list-policies/dump/info)",
+        scsim_fatal("unknown command '%s' (try run/sweep/figure/"
+                    "run-job/serve/submit/status/checkpoint/version/"
+                    "list/list-designs/list-policies/dump/info)",
                     args.command.c_str());
     } catch (const HangError &e) {
         std::fprintf(stderr, "fatal: %s\n%s", e.what(),
