@@ -54,6 +54,10 @@ GpuConfig::validate() const
         scsim_throw(ConfigError, "need at least one register bank per sub-core");
     if (cusPerCluster() < 1)
         scsim_throw(ConfigError, "need at least one collector unit per sub-core");
+    // A sub-core's ready collector units are one 64-bit mask word.
+    if (cusPerCluster() > 64)
+        scsim_throw(ConfigError, "at most 64 collector units per sub-core "
+                    "(got %d)", cusPerCluster());
     if (sharedWarpPool && subCores != 1)
         scsim_throw(ConfigError, "sharedWarpPool requires a monolithic SM");
     // Warp state is kept in one 64-bit mask word per SM (warp.hh).

@@ -40,6 +40,15 @@ testHazards(std::uint64_t unseen, const WarpContext *warps,
     return failed;
 }
 
+/** @p now % @p n, given @p pos == (now - 1) % @p n when @p stepped. */
+int
+rotate(int pos, int n, Cycle now, bool stepped)
+{
+    if (stepped)
+        return pos + 1 == n ? 0 : pos + 1;
+    return static_cast<int>(now % static_cast<Cycle>(n));
+}
+
 /** Does @p bound hold a warp worth a scoreboard stall (rather than a
  *  no-warp stall): a hazard-blocked or a schedulable one? */
 bool
@@ -61,6 +70,9 @@ IssueCluster::IssueCluster(const GpuConfig &cfg, int clusterId)
     for (int s = 0; s < nsched; ++s)
         scheds_.push_back(makeScheduler(cfg));
     tables_.resize(static_cast<std::size_t>(nsched));
+    // Every scheduler of a cluster runs the same policy.
+    maskPick_ = scheds_[0]->picksFromMask();
+    readsQueues_ = scheds_[0]->readsBankQueues();
 
     ringDepth_ = static_cast<std::size_t>(cfg.rbaScoreLatency) + 1;
     numBanks_ = static_cast<std::size_t>(cfg.banksPerCluster());
@@ -127,21 +139,22 @@ IssueCluster::cycle(Cycle now, SmCore &sm)
         sleepTick(sm);
         return false;
     }
+    const bool stepped = now == lastAwake_ + 1;
+    lastAwake_ = now;
+    dispatchStart_ = rotate(dispatchStart_, collector_.size(), now, stepped);
+    issueStart_ = rotate(issueStart_, numSchedulers(), now, stepped);
     // Dispatch first (CUs filled by last cycle's grants), then issue
     // into the freed CUs; newly pushed reads may be granted in the
     // same cycle, giving a 2-cycle best-case collector turnaround.
     dispatch(now, sm);
     int issued = issue(now, sm);
-    applyGrants(now, sm);
     // Grants landing after the issue phase ready warps (writes) or
     // CUs (reads) for the *next* cycle, so they count as work even
     // when nothing issued this cycle.
-    if (issued > 0 || arbiter_.anyPending() || !grants_.writes.empty()
-        || !grants_.reads.empty())
+    bool granted = arbitrate(now, sm);
+    if (issued > 0 || granted || arbiter_.anyPending()
+        || collector_.freeCount() != collector_.size())
         return true;
-    for (int i = 0; i < collector_.size(); ++i)
-        if (collector_.unit(i).busy)
-            return true;
     // Nothing moves here until an outside event wakes the cluster.
     if (cfg_.enableIdleSkip)
         fallAsleep(sm);
@@ -179,24 +192,31 @@ IssueCluster::sleepTick(SmCore &sm)
     stats.stallScoreboard += sleepSbStalls_;
     stats.stallNoWarp += sleepNoWarpStalls_;
     // The frozen issue phase snapshots empty bank queues.
-    std::fill_n(qlenRing_.begin()
-                    + static_cast<std::ptrdiff_t>(head_ * numBanks_),
-                numBanks_, 0);
-    head_ = (head_ + 1) % ringDepth_;
+    if (readsQueues_)
+        std::fill_n(qlenRing_.begin()
+                        + static_cast<std::ptrdiff_t>(head_ * numBanks_),
+                    numBanks_, 0);
+    if (++head_ == ringDepth_)
+        head_ = 0;
 }
 
 void
 IssueCluster::dispatch(Cycle now, SmCore &sm)
 {
+    const std::uint64_t ready = collector_.readyMask();
+    if (ready == 0)
+        return;
     WarpContext *warps = sm.warpTable();
-    int n = collector_.size();
-    // Rotate the scan start so no CU is structurally favored.
-    int start = static_cast<int>(now % static_cast<Cycle>(n));
-    for (int k = 0; k < n; ++k) {
-        int idx = (start + k) % n;
+    // Rotate the scan start so no CU is structurally favored: ready
+    // CUs from dispatchStart_ up, then those below it.  Dispatching
+    // one CU readies no other, so the mask read once stays exact.
+    std::uint64_t upper = ready & (~std::uint64_t{ 0 } << dispatchStart_);
+    std::uint64_t lower = ready & ~upper;
+    while ((upper | lower) != 0) {
+        std::uint64_t &order = upper != 0 ? upper : lower;
+        int idx = std::countr_zero(order);
+        order &= order - 1;
         const CollectorUnit &cu = collector_.unit(idx);
-        if (!cu.ready())
-            continue;
         UnitKind kind = unitOf(cu.inst.op);
         bool isGlobalMem = kind == UnitKind::LdSt
             && cu.inst.mem.space == MemSpace::Global;
@@ -225,25 +245,25 @@ IssueCluster::dispatch(Cycle now, SmCore &sm)
     }
 }
 
-void
-IssueCluster::applyGrants(Cycle now, SmCore &sm)
+bool
+IssueCluster::arbitrate(Cycle now, SmCore &sm)
 {
-    grants_.clear();
-    arbiter_.arbitrate(grants_);
-    for (const ReadRequest &grant : grants_.reads)
-        collector_.operandArrived(grant.cu, grant.operandMask);
-    for (const WriteRequest &grant : grants_.writes)
-        sm.completeRegWrite(grant.warp, grant.reg);
+    // Reads complete collector operands, writes retire scoreboard
+    // entries; neither queues a new request.
+    ArbTally t = arbiter_.arbitrate(
+        [&](const ReadRequest &g) {
+            collector_.operandArrived(g.cu, g.operandMask);
+        },
+        [&](const WriteRequest &g) { sm.completeRegWrite(g.warp, g.reg); });
 
     SimStats &stats = sm.stats();
-    stats.rfReads += static_cast<std::uint64_t>(grants_.reads.size())
-        * kWarpSize;
-    stats.rfWrites += static_cast<std::uint64_t>(grants_.writes.size())
-        * kWarpSize;
+    stats.rfReads += static_cast<std::uint64_t>(t.reads) * kWarpSize;
+    stats.rfWrites += static_cast<std::uint64_t>(t.writes) * kWarpSize;
     stats.rfBankConflictCycles +=
-        static_cast<std::uint64_t>(grants_.conflictCycles);
-    if (!grants_.reads.empty())
-        sm.noteRfReads(now, static_cast<int>(grants_.reads.size()));
+        static_cast<std::uint64_t>(t.conflictCycles);
+    if (t.reads != 0)
+        sm.noteRfReads(now, t.reads);
+    return t.reads + t.writes != 0;
 }
 
 bool
@@ -268,10 +288,9 @@ const int *
 IssueCluster::staleQueueView() const
 {
     // head_ holds the snapshot taken at the *start* of this issue
-    // phase (latency 0); older snapshots sit behind it.
-    std::size_t lag = static_cast<std::size_t>(cfg_.rbaScoreLatency);
-    std::size_t idx = (head_ + ringDepth_ - lag % ringDepth_)
-        % ringDepth_;
+    // phase (latency 0); the ring holds rbaScoreLatency + 1 rows, so
+    // the row that many cycles back is the one after head_.
+    std::size_t idx = head_ + 1 == ringDepth_ ? 0 : head_ + 1;
     return qlenRing_.data() + idx * numBanks_;
 }
 
@@ -289,15 +308,35 @@ IssueCluster::collectCandidates(const std::vector<WarpSlot> &slots,
             candidates_.push_back(slot);
 }
 
+WarpSlot
+IssueCluster::choose(WarpScheduler &policy, std::uint64_t cand,
+                     const SchedTable *table, const PickContext &ctx)
+{
+    if ((cand & (cand - 1)) == 0)
+        return std::countr_zero(cand);
+    if (table && maskPick_)
+        return policy.pickMask(cand, ctx);
+    candidates_.clear();
+    if (table) {
+        collectCandidates(table->slots, cand);
+    } else {
+        for (const SchedTable &t : tables_)
+            collectCandidates(t.slots, cand & t.bound);
+    }
+    return policy.pick(candidates_, ctx);
+}
+
 int
 IssueCluster::issue(Cycle now, SmCore &sm)
 {
     int issued = 0;
     // Record the live queue lengths as this cycle's snapshot, then let
     // schedulers see the view rbaScoreLatency cycles behind it.
-    int *snap = qlenRing_.data() + head_ * numBanks_;
-    for (int b = 0; b < arbiter_.numBanks(); ++b)
-        snap[b] = arbiter_.readQueueLen(b);
+    if (readsQueues_) {
+        int *snap = qlenRing_.data() + head_ * numBanks_;
+        for (int b = 0; b < arbiter_.numBanks(); ++b)
+            snap[b] = arbiter_.readQueueLen(b);
+    }
 
     WarpContext *warps = sm.warpTable();
     WarpMasks &m = sm.masks();
@@ -330,21 +369,18 @@ IssueCluster::issue(Cycle now, SmCore &sm)
                 cand &= ~m.needsCu;
             if (cand == 0)
                 break;
-            candidates_.clear();
-            for (const SchedTable &table : tables_)
-                collectCandidates(table.slots, cand & table.bound);
-            WarpSlot chosen = policy.pick(candidates_, ctx);
+            WarpSlot chosen = choose(policy, cand, nullptr, ctx);
             issueTo(now, sm, warps[chosen].schedInCluster, chosen);
             policy.notifyIssued(chosen, now);
             ++issued;
             ++sm.stats().issueSlotsUsed;
         }
-        head_ = (head_ + 1) % ringDepth_;
+        if (++head_ == ringDepth_)
+            head_ = 0;
         return issued;
     }
-    int start = static_cast<int>(now % static_cast<Cycle>(nsched));
-    for (int k = 0; k < nsched; ++k) {
-        int s = (start + k) % nsched;
+    for (int k = 0, s = issueStart_; k < nsched;
+         ++k, s = s + 1 == nsched ? 0 : s + 1) {
         auto &policy = *scheds_[static_cast<std::size_t>(s)];
         const SchedTable &table = tables_[static_cast<std::size_t>(s)];
         ++sm.stats().schedCycles;
@@ -375,10 +411,8 @@ IssueCluster::issue(Cycle now, SmCore &sm)
                 }
                 break;
             }
-            candidates_.clear();
-            collectCandidates(table.slots, cand);
             ++sm.stats().issueSlotsUsed;
-            WarpSlot chosen = policy.pick(candidates_, ctx);
+            WarpSlot chosen = choose(policy, cand, &table, ctx);
             issueTo(now, sm, s, chosen);
             policy.notifyIssued(chosen, now);
             ++issued;
@@ -408,7 +442,8 @@ IssueCluster::issue(Cycle now, SmCore &sm)
         }
     }
 
-    head_ = (head_ + 1) % ringDepth_;
+    if (++head_ == ringDepth_)
+        head_ = 0;
     return issued;
 }
 
@@ -503,6 +538,31 @@ IssueCluster::auditMasks(const SmCore &sm) const
                      id_);
         all |= fromList;
     }
+
+    // The collector's and the arbiter's cached counts and masks
+    // against the units and queues they summarise.
+    std::uint64_t readyCus = 0;
+    int idleCus = 0;
+    for (int i = 0; i < collector_.size(); ++i) {
+        const CollectorUnit &cu = collector_.unit(i);
+        if (cu.ready())
+            readyCus |= std::uint64_t{ 1 } << i;
+        if (!cu.busy)
+            ++idleCus;
+    }
+    scsim_assert(readyCus == collector_.readyMask(),
+                 "cluster %d: collector ready mask %llx, units say %llx",
+                 id_,
+                 static_cast<unsigned long long>(collector_.readyMask()),
+                 static_cast<unsigned long long>(readyCus));
+    scsim_assert(idleCus == collector_.freeCount(),
+                 "cluster %d: %d idle collector units, freeCount %d", id_,
+                 idleCus, collector_.freeCount());
+    scsim_assert(arbiter_.pendingOps() == arbiter_.queuedOps(),
+                 "cluster %d: arbiter counts %llu pending, queues hold "
+                 "%llu",
+                 id_, static_cast<unsigned long long>(arbiter_.pendingOps()),
+                 static_cast<unsigned long long>(arbiter_.queuedOps()));
     return all;
 }
 
@@ -519,14 +579,18 @@ IssueCluster::reset()
     onIdleSkip();
     head_ = 0;
     asleep_ = false;
+    lastAwake_ = 0;
+    dispatchStart_ = 0;
+    issueStart_ = 0;
 }
 
 void
 IssueCluster::saveState(StateWriter &w) const
 {
-    // grants_ and candidates_ are per-cycle scratch (cleared before
-    // every use) and are deliberately not part of the snapshot; nor is
-    // the sleep state (a restored cluster starts awake).
+    // candidates_ is per-cycle scratch (cleared before every use) and
+    // deliberately not part of the snapshot; nor are the sleep state (a
+    // restored cluster starts awake) and the rotation starts (derived
+    // from the cycle).
     arbiter_.saveState(w);
     collector_.saveState(w);
     pipes_.saveState(w);
@@ -577,8 +641,12 @@ IssueCluster::loadState(StateReader &r)
     }
     for (SchedTable &table : tables_)
         table.nextAge = static_cast<std::uint32_t>(r.u64("ic.age"));
-    for (int &qlen : qlenRing_)
-        qlen = static_cast<int>(r.i64("ic.qlen"));
+    // A policy that never reads the ring keeps it zero, whatever an
+    // older snapshot recorded there.
+    for (int &qlen : qlenRing_) {
+        std::int64_t len = r.i64("ic.qlen");
+        qlen = readsQueues_ ? static_cast<int>(len) : 0;
+    }
     head_ = r.u64("ic.head");
     if (head_ >= ringDepth_)
         scsim_throw(CacheError, "snapshot: ring head %zu out of range",

@@ -10,8 +10,9 @@
  *
  * Per-cycle sequence (driven by SmCore): dispatch ready collector
  * units to pipes -> issue from each scheduler (snapshotting the
- * bank-queue lengths for the RBA staleness model at its start) ->
- * arbitrate register banks and apply the grants.
+ * bank-queue lengths for the RBA staleness model at its start, when
+ * the policy reads them) -> arbitrate register banks, handing each
+ * grant straight to its collector unit or scoreboard.
  *
  * Each scheduler table keeps its warps both as a list (binding order,
  * which is the candidate order schedulers see) and as a slot mask; an
@@ -108,8 +109,10 @@ class IssueCluster
     bool hasImmediateWork(const SmCore &sm) const;
 
     /** Sanitizer builds: check this cluster's bound masks against its
-     *  lists, and every mask bit of its warps against WarpContext;
-     *  returns the union of the bound masks. */
+     *  lists, every mask bit of its warps against WarpContext, and the
+     *  collector's ready mask and free count and the arbiter's pending
+     *  count against their units and queues; returns the union of the
+     *  bound masks. */
     std::uint64_t auditMasks(const SmCore &sm) const;
 
     void reset();
@@ -119,9 +122,12 @@ class IssueCluster
     void loadState(StateReader &r);
 
   private:
+    struct SchedTable;
+
     void dispatch(Cycle now, SmCore &sm);
-    void applyGrants(Cycle now, SmCore &sm);
     int issue(Cycle now, SmCore &sm);   //!< returns instructions issued
+    /** Arbitrate the banks and apply the grants; true if any. */
+    bool arbitrate(Cycle now, SmCore &sm);
 
     /** Memoise the frozen cycle's stall accounting and sleep. */
     void fallAsleep(const SmCore &sm);
@@ -145,6 +151,15 @@ class IssueCluster
     void collectCandidates(const std::vector<WarpSlot> &slots,
                            std::uint64_t cand);
 
+    /** @p policy's choice among @p cand (nonzero), drawn from
+     *  @p table, or from every table (the shared pool) when it is
+     *  null.  A lone candidate needs no policy; on the partitioned
+     *  path a mask-capable policy picks from the mask; otherwise the
+     *  candidate list is built in binding order. */
+    WarpSlot choose(WarpScheduler &policy, std::uint64_t cand,
+                    const SchedTable *table,
+                    const PickContext &ctx);
+
     /** Queue lengths as seen by the scheduler (staleness applied). */
     const int *staleQueueView() const;
 
@@ -159,8 +174,22 @@ class IssueCluster
      * sleep with the same memo, so resumed runs stay exact.
      */
     bool asleep_ = false;
+    /** The policy picks from masks (WarpScheduler::picksFromMask). */
+    bool maskPick_ = false;
+    /** The policy reads bank-queue lengths; otherwise the snapshot
+     *  ring stays all zero (WarpScheduler::readsBankQueues). */
+    bool readsQueues_ = false;
     std::uint32_t sleepSbStalls_ = 0;     //!< stallScoreboard per tick
     std::uint32_t sleepNoWarpStalls_ = 0; //!< stallNoWarp per tick
+    /**
+     * Rotating scan starts, always now % size for the last awake cycle
+     * lastAwake_: consecutive awake cycles advance them by a compare
+     * and wrap, and only a cycle after a gap (sleep, idle skip, a new
+     * kernel) divides.  Derived, so not snapshotted.
+     */
+    Cycle lastAwake_ = 0;
+    int dispatchStart_ = 0;   //!< first collector unit dispatch scans
+    int issueStart_ = 0;      //!< first scheduler issue serves
     RegFileArbiter arbiter_;
     OperandCollector collector_;
     PipeSet pipes_;
@@ -186,7 +215,6 @@ class IssueCluster
     std::size_t numBanks_ = 0;
     std::size_t head_ = 0;
 
-    ArbGrants grants_;
     std::vector<WarpSlot> candidates_;   //!< scratch, reused per cycle
 };
 

@@ -8,7 +8,16 @@ namespace scsim {
 OperandCollector::OperandCollector(int numCus)
     : cus_(static_cast<std::size_t>(numCus)), freeCount_(numCus)
 {
-    scsim_assert(numCus > 0, "need at least one collector unit");
+    // The ready set is one mask word (GpuConfig::validate caps it).
+    scsim_assert(numCus > 0 && numCus <= 64,
+                 "collector units per sub-core must be in [1,64]");
+}
+
+void
+OperandCollector::markReadyIfDone(int cu)
+{
+    if (cus_[static_cast<std::size_t>(cu)].pendingOperands == 0)
+        readyMask_ |= std::uint64_t{ 1 } << cu;
 }
 
 int
@@ -57,6 +66,7 @@ OperandCollector::allocate(WarpSlot warp, const Instruction &inst,
         arbiter.pushRead(arbiter.bankOf(reg, warp),
                          ReadRequest{ idx, mask });
     }
+    markReadyIfDone(idx);   // no source registers: ready at once
     return idx;
 }
 
@@ -68,6 +78,7 @@ OperandCollector::operandArrived(int cu, std::uint32_t operandMask)
     scsim_assert((unit.pendingOperands & operandMask) == operandMask,
                  "operand arrived twice");
     unit.pendingOperands &= ~operandMask;
+    markReadyIfDone(cu);
 }
 
 void
@@ -79,6 +90,7 @@ OperandCollector::release(int cu)
                  "releasing a CU with pending operands");
     unit.busy = false;
     unit.warp = kNoWarp;
+    readyMask_ &= ~(std::uint64_t{ 1 } << cu);
     ++freeCount_;
 }
 
@@ -101,6 +113,7 @@ OperandCollector::reset()
     for (auto &cu : cus_)
         cu = CollectorUnit{};
     freeCount_ = static_cast<int>(cus_.size());
+    readyMask_ = 0;
 }
 
 void
@@ -119,7 +132,9 @@ void
 OperandCollector::loadState(StateReader &r, int maxWarps)
 {
     freeCount_ = 0;
-    for (CollectorUnit &cu : cus_) {
+    readyMask_ = 0;
+    for (std::size_t i = 0; i < cus_.size(); ++i) {
+        CollectorUnit &cu = cus_[i];
         cu.busy = r.b("cu.busy");
         // A busy CU's warp indexes the SM's warp table at dispatch.
         std::int64_t warp = r.i64("cu.warp");
@@ -134,8 +149,17 @@ OperandCollector::loadState(StateReader &r, int maxWarps)
             static_cast<std::uint32_t>(r.u64("cu.pending"));
         cu.allocCycle = r.u64("cu.alloc");
         cu.inst = loadInstructionState(r);
+        // An idle CU's operands are never granted again, so pending
+        // bits there are damage, not state.
+        if (!cu.busy && cu.pendingOperands != 0)
+            scsim_throw(CacheError,
+                        "snapshot: idle collector unit waits on "
+                        "operands %u",
+                        cu.pendingOperands);
         if (!cu.busy)
             ++freeCount_;
+        else
+            markReadyIfDone(static_cast<int>(i));
     }
 }
 

@@ -7,12 +7,15 @@
  * operands are fetched from the banked register file.  Allocation
  * pushes one read request per *distinct* source register (repeated
  * registers share a single read); when every operand is ready the CU
- * may dispatch and is then freed.
+ * may dispatch and is then freed.  The CUs that may dispatch are also
+ * kept as a bitmask, so a dispatch phase with nothing ready costs one
+ * test (DESIGN.md §4.3).
  */
 
 #ifndef SCSIM_CORE_OPERAND_COLLECTOR_HH
 #define SCSIM_CORE_OPERAND_COLLECTOR_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "core/reg_file.hh"
@@ -39,6 +42,9 @@ class OperandCollector
     int size() const { return static_cast<int>(cus_.size()); }
     int freeCount() const { return freeCount_; }
     bool hasFree() const { return freeCount_ > 0; }
+
+    /** Bit i set iff unit(i).ready(): busy with every operand read. */
+    std::uint64_t readyMask() const { return readyMask_; }
 
     const CollectorUnit &
     unit(int idx) const
@@ -72,14 +78,18 @@ class OperandCollector
     /**
      * Checkpointing: every CU, including its staged instruction.  A
      * load refuses (CacheError) a busy CU whose warp is outside
-     * [0, @p maxWarps) and an idle CU bound to any warp.
+     * [0, @p maxWarps), and an idle CU bound to any warp or waiting
+     * on operands.
      */
     void saveState(StateWriter &w) const;
     void loadState(StateReader &r, int maxWarps);
 
   private:
+    void markReadyIfDone(int cu);
+
     std::vector<CollectorUnit> cus_;
     int freeCount_;
+    std::uint64_t readyMask_ = 0;
 };
 
 } // namespace scsim

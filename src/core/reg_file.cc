@@ -30,26 +30,21 @@ RegFileArbiter::pushWrite(int bank, WriteRequest req)
 void
 RegFileArbiter::arbitrate(ArbGrants &out)
 {
-    for (int b = 0; b < numBanks_; ++b) {
-        auto &wq = writeQ_[static_cast<std::size_t>(b)];
-        auto &rq = readQ_[static_cast<std::size_t>(b)];
-        // Each bank sustains one read and one write per cycle
-        // (separate result-bus write port, as in the V100 model).
-        if (!wq.empty()) {
-            out.writes.push_back(wq.front());
-            wq.pop_front();
-            --pendingOps_;
-        }
-        if (!rq.empty()) {
-            out.reads.push_back(rq.front());
-            rq.pop_front();
-            --pendingOps_;
-        }
-        // A reader still waiting after this bank's single read grant
-        // is a bank-conflict cycle (throughput lost to banking).
-        if (!rq.empty())
-            ++out.conflictCycles;
-    }
+    out.conflictCycles +=
+        arbitrate([&](const ReadRequest &g) { out.reads.push_back(g); },
+                  [&](const WriteRequest &g) { out.writes.push_back(g); })
+            .conflictCycles;
+}
+
+std::uint64_t
+RegFileArbiter::queuedOps() const
+{
+    std::uint64_t n = 0;
+    for (const auto &q : readQ_)
+        n += q.size();
+    for (const auto &q : writeQ_)
+        n += q.size();
+    return n;
 }
 
 void
@@ -67,16 +62,16 @@ RegFileArbiter::saveState(StateWriter &w) const
 {
     for (const auto &q : readQ_) {
         w.u64("rf.readq", q.size());
-        for (const ReadRequest &req : q) {
-            w.i64("rf.read.cu", req.cu);
-            w.u64("rf.read.mask", req.operandMask);
+        for (std::size_t i = 0; i < q.size(); ++i) {
+            w.i64("rf.read.cu", q[i].cu);
+            w.u64("rf.read.mask", q[i].operandMask);
         }
     }
     for (const auto &q : writeQ_) {
         w.u64("rf.writeq", q.size());
-        for (const WriteRequest &req : q) {
-            w.i64("rf.write.warp", req.warp);
-            w.i64("rf.write.reg", req.reg);
+        for (std::size_t i = 0; i < q.size(); ++i) {
+            w.i64("rf.write.warp", q[i].warp);
+            w.i64("rf.write.reg", q[i].reg);
         }
     }
     w.u64("rf.pendingOps", pendingOps_);
@@ -97,8 +92,15 @@ RegFileArbiter::loadState(StateReader &r, int numCus, int maxWarps)
                             "%lld out of range",
                             static_cast<long long>(cu));
             req.cu = static_cast<int>(cu);
-            req.operandMask =
-                static_cast<std::uint32_t>(r.u64("rf.read.mask"));
+            // A read fills one to three operand slots; an empty mask
+            // would never ready its CU.
+            std::uint64_t mask = r.u64("rf.read.mask");
+            if (mask == 0 || mask > 0b111)
+                scsim_throw(CacheError,
+                            "snapshot: register read operand mask %llu "
+                            "out of range",
+                            static_cast<unsigned long long>(mask));
+            req.operandMask = static_cast<std::uint32_t>(mask);
             q.push_back(req);
         }
     }
@@ -118,7 +120,14 @@ RegFileArbiter::loadState(StateReader &r, int numCus, int maxWarps)
             q.push_back(req);
         }
     }
+    // The counter is redundant with the queues; a value that disagrees
+    // would make anyPending() lie and wrap on the first grant.
     pendingOps_ = r.u64("rf.pendingOps");
+    if (pendingOps_ != queuedOps())
+        scsim_throw(CacheError,
+                    "snapshot: rf.pendingOps %llu but %llu requests queued",
+                    static_cast<unsigned long long>(pendingOps_),
+                    static_cast<unsigned long long>(queuedOps()));
 }
 
 } // namespace scsim

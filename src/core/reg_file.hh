@@ -14,7 +14,6 @@
 #define SCSIM_CORE_REG_FILE_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/types.hh"
@@ -38,7 +37,69 @@ struct WriteRequest
     RegIndex reg = kNoReg;
 };
 
-/** Output of one arbitration cycle. */
+/**
+ * A FIFO queue over a power-of-two ring that doubles when full.  Bank
+ * queues are short and live for the whole run, so after warm-up a push
+ * or pop is an index update and a mask, with no allocation.
+ */
+template <typename T>
+class FifoRing
+{
+  public:
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+
+    /** Element @p i counted from the front (0 is the oldest). */
+    const T &
+    operator[](std::size_t i) const
+    {
+        return buf_[(head_ + i) & (buf_.size() - 1)];
+    }
+
+    const T &front() const { return buf_[head_]; }
+
+    void
+    push_back(const T &v)
+    {
+        if (size_ == buf_.size())
+            grow();
+        buf_[(head_ + size_) & (buf_.size() - 1)] = v;
+        ++size_;
+    }
+
+    void
+    pop_front()
+    {
+        head_ = (head_ + 1) & (buf_.size() - 1);
+        --size_;
+    }
+
+    void
+    clear()
+    {
+        head_ = 0;
+        size_ = 0;
+    }
+
+  private:
+    /** Double the ring, unwrapping the queue to start at index 0. */
+    void
+    grow()
+    {
+        std::vector<T> bigger(buf_.empty() ? 4 : 2 * buf_.size());
+        for (std::size_t i = 0; i < size_; ++i)
+            bigger[i] = (*this)[i];
+        buf_.swap(bigger);
+        head_ = 0;
+    }
+
+    std::vector<T> buf_;   //!< size 0 or a power of two
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+};
+
+/** Output of one arbitration cycle, as lists (for tests; the issue
+ *  cluster applies grants directly, see arbitrate()). */
 struct ArbGrants
 {
     std::vector<ReadRequest> reads;
@@ -53,6 +114,28 @@ struct ArbGrants
     }
 };
 
+/** Grant counts of one arbitration cycle. */
+struct ArbTally
+{
+    int reads = 0;
+    int writes = 0;
+    int conflictCycles = 0;     //!< banks left with waiting readers
+};
+
+/** Bank of operand @p reg of warp slot @p w among @p numBanks banks.
+ *  The compiler/hardware swizzle spreads the slot by an odd multiplier
+ *  so adjacent slots do not alias their hot registers onto
+ *  neighbouring banks (mod 2 it reduces to the plain parity swizzle of
+ *  the 2-bank sub-core).  Power-of-two bank counts mask instead of
+ *  dividing. */
+inline int
+swizzleBank(RegIndex reg, WarpSlot w, int numBanks)
+{
+    unsigned x = static_cast<unsigned>(reg) + 7u * static_cast<unsigned>(w);
+    auto n = static_cast<unsigned>(numBanks);
+    return static_cast<int>((n & (n - 1)) == 0 ? x & (n - 1) : x % n);
+}
+
 class RegFileArbiter
 {
   public:
@@ -60,25 +143,54 @@ class RegFileArbiter
 
     int numBanks() const { return numBanks_; }
 
-    /** Compiler/hardware swizzle: operand @p reg of warp slot @p w.
-     *  The slot is spread by an odd multiplier so adjacent slots do
-     *  not alias their hot registers onto neighbouring banks (mod 2 it
-     *  reduces to the plain parity swizzle of the 2-bank sub-core). */
+    /** Bank of operand @p reg of warp slot @p w (swizzleBank). */
     int
     bankOf(RegIndex reg, WarpSlot w) const
     {
-        return static_cast<int>(
-            (static_cast<unsigned>(reg) + 7u * static_cast<unsigned>(w))
-            % static_cast<unsigned>(numBanks_));
+        return swizzleBank(reg, w, numBanks_);
     }
 
     void pushRead(int bank, ReadRequest req);
     void pushWrite(int bank, WriteRequest req);
 
     /**
-     * Grant at most one read and one write per bank, appending grants
-     * to @p out.
+     * Grant at most one read and one write per bank and hand each grant
+     * straight to its consumer: @p onRead(const ReadRequest &) for every
+     * read grant in bank order, then @p onWrite(const WriteRequest &)
+     * for every write grant in bank order.  The consumers must not
+     * push requests.
      */
+    template <typename OnRead, typename OnWrite>
+    ArbTally
+    arbitrate(OnRead &&onRead, OnWrite &&onWrite)
+    {
+        ArbTally t;
+        for (auto &rq : readQ_) {
+            if (rq.empty())
+                continue;
+            onRead(rq.front());
+            rq.pop_front();
+            ++t.reads;
+            // A reader still waiting after this bank's single read
+            // grant is a bank-conflict cycle (throughput lost to
+            // banking).
+            if (!rq.empty())
+                ++t.conflictCycles;
+        }
+        // Each bank sustains one read and one write per cycle
+        // (separate result-bus write port, as in the V100 model).
+        for (auto &wq : writeQ_) {
+            if (wq.empty())
+                continue;
+            onWrite(wq.front());
+            wq.pop_front();
+            ++t.writes;
+        }
+        pendingOps_ -= static_cast<std::uint64_t>(t.reads + t.writes);
+        return t;
+    }
+
+    /** The same arbitration, appending the grants to @p out. */
     void arbitrate(ArbGrants &out);
 
     /** Current read-queue length of @p bank (ground truth, no delay). */
@@ -90,6 +202,10 @@ class RegFileArbiter
     }
 
     bool anyPending() const { return pendingOps_ != 0; }
+    /** Queued reads and writes over all banks (kept as a counter). */
+    std::uint64_t pendingOps() const { return pendingOps_; }
+    /** The same count, summed over the queues. */
+    std::uint64_t queuedOps() const;
 
     /** Banks whose read queue is currently empty (bank stealing). */
     bool
@@ -103,13 +219,16 @@ class RegFileArbiter
     /** Checkpointing: per-bank queues in FIFO order. */
     void saveState(StateWriter &w) const;
     /** Refuses (CacheError) a queued read for a CU outside
-     *  [0, @p numCus) or a write for a warp outside [0, @p maxWarps). */
+     *  [0, @p numCus) or with an operand mask that is empty or names a
+     *  slot past the third, a write for a warp outside [0,
+     *  @p maxWarps), and an rf.pendingOps that is not the number of
+     *  queued requests. */
     void loadState(StateReader &r, int numCus, int maxWarps);
 
   private:
     int numBanks_;
-    std::vector<std::deque<ReadRequest>> readQ_;
-    std::vector<std::deque<WriteRequest>> writeQ_;
+    std::vector<FifoRing<ReadRequest>> readQ_;
+    std::vector<FifoRing<WriteRequest>> writeQ_;
     std::uint64_t pendingOps_ = 0;
 };
 

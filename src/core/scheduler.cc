@@ -1,9 +1,11 @@
 #include "core/scheduler.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "common/state_io.hh"
+#include "core/reg_file.hh"
 
 namespace scsim {
 
@@ -12,16 +14,30 @@ rbaScore(const Instruction &inst, WarpSlot slot,
          const int *bankQueueLen, int numBanks)
 {
     int score = 0;
-    for (RegIndex reg : inst.srcs) {
-        if (reg == kNoReg)
-            continue;
-        int bank = static_cast<int>(
-            (static_cast<unsigned>(reg) + 7u
-             * static_cast<unsigned>(slot))
-            % static_cast<unsigned>(numBanks));
-        score += bankQueueLen[bank];
-    }
+    for (RegIndex reg : inst.srcs)
+        if (reg != kNoReg)
+            score += bankQueueLen[swizzleBank(reg, slot, numBanks)];
     return std::min(score, 31);   // 5-bit field in the warp PC table
+}
+
+namespace {
+
+/** RBA's hierarchical key {score, ~age}: minimum score wins, oldest
+ *  (smallest ageRank) on ties. */
+long
+rbaKey(WarpSlot s, const PickContext &ctx)
+{
+    const WarpContext &w = ctx.warps[s];
+    int score = rbaScore(w.nextInst(), s, ctx.bankQueueLen, ctx.numBanks);
+    return (static_cast<long>(score) << 32) | static_cast<long>(w.ageRank);
+}
+
+} // namespace
+
+WarpSlot
+WarpScheduler::pickMask(std::uint64_t, const PickContext &)
+{
+    scsim_panic("pickMask() on a policy that picks from lists");
 }
 
 WarpSlot
@@ -81,6 +97,24 @@ GtoScheduler::pick(const std::vector<WarpSlot> &ready,
     return best;
 }
 
+WarpSlot
+GtoScheduler::pickMask(std::uint64_t cand, const PickContext &ctx)
+{
+    if (greedyWarp_ != kNoWarp && (cand & slotBit(greedyWarp_)))
+        return greedyWarp_;
+    WarpSlot best = kNoWarp;
+    std::uint32_t bestAge = 0;
+    for (; cand != 0; cand &= cand - 1) {
+        auto s = static_cast<WarpSlot>(std::countr_zero(cand));
+        std::uint32_t age = ctx.warps[s].ageRank;
+        if (best == kNoWarp || age < bestAge) {
+            best = s;
+            bestAge = age;
+        }
+    }
+    return best;
+}
+
 void
 GtoScheduler::notifyIssued(WarpSlot slot, Cycle)
 {
@@ -96,7 +130,12 @@ GtoScheduler::saveState(StateWriter &w) const
 void
 GtoScheduler::loadState(StateReader &r)
 {
-    greedyWarp_ = static_cast<WarpSlot>(r.i64("gto.greedyWarp"));
+    // The greedy warp shifts into a slot mask in pickMask().
+    std::int64_t slot = r.i64("gto.greedyWarp");
+    if (slot < kNoWarp || slot >= 64)
+        scsim_throw(CacheError, "snapshot: greedy warp %lld out of range",
+                    static_cast<long long>(slot));
+    greedyWarp_ = static_cast<WarpSlot>(slot);
 }
 
 WarpSlot
@@ -106,16 +145,26 @@ RbaScheduler::pick(const std::vector<WarpSlot> &ready,
     scsim_assert(!ready.empty(), "pick() with no candidates");
     scsim_assert(ctx.bankQueueLen != nullptr,
                  "RBA needs bank queue lengths");
-    // Hierarchical comparator over {score, ~age}: minimum score wins,
-    // oldest (smallest ageRank) on ties.
     WarpSlot best = kNoWarp;
     long bestKey = 0;
     for (WarpSlot s : ready) {
-        const WarpContext &w = ctx.warps[s];
-        int score = rbaScore(w.nextInst(), s, ctx.bankQueueLen,
-                             ctx.numBanks);
-        long key = (static_cast<long>(score) << 32)
-            | static_cast<long>(w.ageRank);
+        long key = rbaKey(s, ctx);
+        if (best == kNoWarp || key < bestKey) {
+            best = s;
+            bestKey = key;
+        }
+    }
+    return best;
+}
+
+WarpSlot
+RbaScheduler::pickMask(std::uint64_t cand, const PickContext &ctx)
+{
+    WarpSlot best = kNoWarp;
+    long bestKey = 0;
+    for (; cand != 0; cand &= cand - 1) {
+        auto s = static_cast<WarpSlot>(std::countr_zero(cand));
+        long key = rbaKey(s, ctx);
         if (best == kNoWarp || key < bestKey) {
             best = s;
             bestKey = key;

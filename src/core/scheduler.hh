@@ -53,6 +53,24 @@ class WarpScheduler
     virtual WarpSlot pick(const std::vector<WarpSlot> &ready,
                           const PickContext &ctx) = 0;
 
+    /**
+     * Can pickMask() stand in for pick()?  Only when the choice does
+     * not depend on candidate order: ages are unique within one
+     * scheduler table, so GTO's and RBA's minimum-key choices are
+     * order-free there, while LRR's first-after-last follows list
+     * order (and ages repeat across the shared pool's tables).
+     */
+    virtual bool picksFromMask() const { return false; }
+
+    /** pick() over the slots set in @p cand, all from one scheduler
+     *  table; called only when picksFromMask(). */
+    virtual WarpSlot pickMask(std::uint64_t cand, const PickContext &ctx);
+
+    /** Does pick() read PickContext::bankQueueLen?  Only then does the
+     *  issue cluster snapshot its bank queues each cycle; for other
+     *  policies its queue ring stays zero. */
+    virtual bool readsBankQueues() const { return false; }
+
     /** Feedback after the chosen warp actually issued. */
     virtual void notifyIssued(WarpSlot, Cycle) {}
 
@@ -86,6 +104,8 @@ class GtoScheduler : public WarpScheduler
   public:
     WarpSlot pick(const std::vector<WarpSlot> &ready,
                   const PickContext &ctx) override;
+    bool picksFromMask() const override { return true; }
+    WarpSlot pickMask(std::uint64_t cand, const PickContext &ctx) override;
     void notifyIssued(WarpSlot slot, Cycle now) override;
     void reset() override { greedyWarp_ = kNoWarp; }
     void saveState(StateWriter &w) const override;
@@ -100,6 +120,9 @@ class RbaScheduler : public WarpScheduler
   public:
     WarpSlot pick(const std::vector<WarpSlot> &ready,
                   const PickContext &ctx) override;
+    bool picksFromMask() const override { return true; }
+    WarpSlot pickMask(std::uint64_t cand, const PickContext &ctx) override;
+    bool readsBankQueues() const override { return true; }
 };
 
 /**

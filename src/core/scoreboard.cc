@@ -5,19 +5,6 @@
 
 namespace scsim {
 
-bool
-Scoreboard::ready(const Instruction &inst) const
-{
-    if (count_ == 0)
-        return true;
-    if (inst.dst != kNoReg && pending_[static_cast<std::size_t>(inst.dst)])
-        return false;
-    for (RegIndex r : inst.srcs)
-        if (r != kNoReg && pending_[static_cast<std::size_t>(r)])
-            return false;
-    return true;
-}
-
 void
 Scoreboard::markIssue(const Instruction &inst)
 {

@@ -22,8 +22,21 @@ class StateWriter;
 class Scoreboard
 {
   public:
-    /** May @p inst issue without a data hazard? */
-    bool ready(const Instruction &inst) const;
+    /** May @p inst issue without a data hazard?  Inline: the issue
+     *  scan's hazard test calls it for every newly seen instruction. */
+    bool
+    ready(const Instruction &inst) const
+    {
+        if (count_ == 0)
+            return true;
+        if (inst.dst != kNoReg
+            && pending_[static_cast<std::size_t>(inst.dst)])
+            return false;
+        for (RegIndex r : inst.srcs)
+            if (r != kNoReg && pending_[static_cast<std::size_t>(r)])
+                return false;
+        return true;
+    }
 
     /** Record @p inst 's destination as pending. */
     void markIssue(const Instruction &inst);

@@ -443,6 +443,78 @@ TEST_F(CheckpointTest, ResumeRejectsDamagedCollectorBindings)
     EXPECT_EQ(runner::kSnapshotVersion, 1u);
 }
 
+TEST_F(CheckpointTest, ResumeRejectsDamagedQueueCounts)
+{
+    // rf.pendingOps caches the queued request count, and a read's
+    // operand mask and an idle CU's pending bits decide when a CU may
+    // dispatch.  Loading any of them damaged would leave a cluster that
+    // never sleeps or a CU that never readies, so each is refused; so
+    // is a GTO greedy warp that cannot index a slot mask.
+    KernelDesc kernel = microWorkload("fma-unbalanced");
+    std::vector<std::string> snaps;
+    SimEngine full(goldenBase());
+    sim::EngineObserver obs;
+    obs.onCheckpoint = [&](const std::string &payload, Cycle) {
+        snaps.push_back(payload);
+    };
+    full.addObserver(std::move(obs));
+    full.setCheckpointInterval(997);
+    full.run(kernel);
+
+    // A snapshot with an idle CU and a queued read.
+    std::string snap;
+    int idle = -1;
+    for (const std::string &s : snaps) {
+        for (int i = 0; fieldAt(s, "cu.busy", i) != std::string::npos; ++i)
+            if (getField(s, "cu.busy", i) == "0") {
+                idle = i;
+                break;
+            }
+        if (idle >= 0 && fieldAt(s, "rf.read.cu", 0) != std::string::npos) {
+            snap = s;
+            break;
+        }
+        idle = -1;
+    }
+    ASSERT_FALSE(snap.empty());
+    const std::uint64_t pending =
+        std::stoull(getField(snap, "rf.pendingOps", 0));
+
+    struct Damage
+    {
+        const char *what;
+        std::string payload;
+        const char *error;
+    };
+    const Damage cases[] = {
+        { "pendingOps above the queues",
+          setField(snap, "rf.pendingOps", 0, std::to_string(pending + 1)),
+          "requests queued" },
+        { "pendingOps wrapped below zero",
+          setField(snap, "rf.pendingOps", 0, "18446744073709551615"),
+          "requests queued" },
+        { "read filling no operand", setField(snap, "rf.read.mask", 0, "0"),
+          "operand mask" },
+        { "read past the third operand",
+          setField(snap, "rf.read.mask", 0, "9"), "operand mask" },
+        { "idle CU waiting on operands",
+          setField(snap, "cu.pending", idle, "2"), "waits on operands" },
+        { "greedy warp past the table",
+          setField(snap, "gto.greedyWarp", 0, "64"), "out of range" },
+    };
+    Application app = wrapKernel(kernel);
+    for (const Damage &d : cases) {
+        SCOPED_TRACE(d.what);
+        ASSERT_TRUE(d.payload != snap);
+        SimEngine engine(goldenBase());
+        EXPECT_THROW_WITH(engine.sim().resume(app, d.payload), CacheError,
+                          d.error);
+    }
+    // The undamaged snapshot still resumes.
+    SimEngine engine(goldenBase());
+    EXPECT_NO_THROW(engine.sim().resume(app, snap));
+}
+
 TEST_F(CheckpointTest, SnapshotWithBlockedAndBarrierWarpsResumesExactly)
 {
     // At cycle 24000 of this run some warps are hazard-blocked and

@@ -25,6 +25,7 @@
 #include "sim/engine.hh"
 #include "sim/registry.hh"
 #include "workloads/microbench.hh"
+#include "workloads/suite.hh"
 
 namespace scsim {
 namespace {
@@ -240,12 +241,13 @@ TEST(SimEngine, FingerprintSeparatesBehaviors)
 
 // ---- golden equivalence matrix --------------------------------------------
 
-/** design name -> workload name -> seed fingerprint (hex). */
+/** design name -> workload name -> seed fingerprint (hex), from the
+ *  tab-separated goldens file at @p path. */
 std::map<std::string, std::map<std::string, std::string>>
-loadGoldens()
+loadGoldens(const char *path)
 {
-    std::ifstream in(SCSIM_ENGINE_GOLDENS);
-    EXPECT_TRUE(in.good()) << "missing goldens: " SCSIM_ENGINE_GOLDENS;
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << "missing goldens: " << path;
     std::map<std::string, std::map<std::string, std::string>> out;
     std::string line;
     while (std::getline(in, line)) {
@@ -263,7 +265,7 @@ loadGoldens()
 
 TEST(EngineEquivalence, RegistryPathMatchesSeedFingerprints)
 {
-    auto goldens = loadGoldens();
+    auto goldens = loadGoldens(SCSIM_ENGINE_GOLDENS);
     ASSERT_EQ(goldens.size(), runner::designCatalog().size())
         << "golden file must cover every design point";
 
@@ -279,6 +281,87 @@ TEST(EngineEquivalence, RegistryPathMatchesSeedFingerprints)
             EXPECT_EQ(sim::statsFingerprintHex(s), goldens[name][w])
                 << "design '" << name << "' workload '" << w
                 << "' diverged from seed behavior";
+        }
+    }
+}
+
+// ---- suite-app goldens ----------------------------------------------------
+
+/**
+ * Suite apps at a tiny scale on 4 SMs, under design points chosen so
+ * that together they reach every issue, arbitration and collector
+ * path of the hot loop: GTO, LRR, RBA with a fresh and a stale queue
+ * view, one fully-connected cluster, bank stealing, the shared warp
+ * pool, the migration oracle and a bank count that is not a power of
+ * two.  The micro goldens above pin the catalogue on synthetic
+ * kernels; these pin the suite's memory-bound and compute-bound mixes.
+ */
+struct SuitePoint
+{
+    const char *name;
+    GpuConfig (*config)();
+};
+
+GpuConfig
+suiteBase()
+{
+    GpuConfig cfg = GpuConfig::volta();
+    cfg.numSms = 4;
+    return cfg;
+}
+
+const SuitePoint kSuitePoints[] = {
+    { "Baseline", [] { return suiteBase(); } },
+    { "LRR",
+      [] {
+          GpuConfig c = suiteBase();
+          c.scheduler = SchedulerPolicy::LRR;
+          return c;
+      } },
+    { "RBA", [] { return runner::designConfig(suiteBase(), "RBA"); } },
+    { "RBA-lat8",
+      [] {
+          GpuConfig c = runner::designConfig(suiteBase(), "RBA");
+          c.rbaScoreLatency = 8;
+          return c;
+      } },
+    { "Fully-Connected",
+      [] { return runner::designConfig(suiteBase(), "Fully-Connected"); } },
+    { "BankStealing",
+      [] { return runner::designConfig(suiteBase(), "BankStealing"); } },
+    { "SharedPool",
+      [] {
+          GpuConfig c = GpuConfig::keplerLike();
+          c.numSms = 4;
+          return c;
+      } },
+    { "Migration",
+      [] {
+          GpuConfig c = suiteBase();
+          c.idealWarpMigration = true;
+          return c;
+      } },
+    { "RBA-3banks",
+      [] {
+          GpuConfig c = runner::designConfig(suiteBase(), "RBA");
+          c.rfBanksPerSm = 12;   // 3 per sub-core
+          return c;
+      } },
+};
+
+TEST(SuiteGoldens, PinnedAppsMatchFingerprints)
+{
+    auto goldens = loadGoldens(SCSIM_SUITE_GOLDENS);
+    ASSERT_EQ(goldens.size(), std::size(kSuitePoints));
+    const char *apps[] = { "cutlass-2048", "tpcC-q2", "rod-hotspot",
+                           "pb-spmv" };
+    for (const SuitePoint &p : kSuitePoints) {
+        for (const char *app : apps) {
+            SimStats s = SimEngine(p.config()).runApp(findApp(app, 0.02));
+            // A mismatch prints the line the file would need.
+            EXPECT_EQ(sim::statsFingerprintHex(s), goldens[p.name][app])
+                << p.name << "\t" << app << "\t"
+                << sim::statsFingerprintHex(s);
         }
     }
 }

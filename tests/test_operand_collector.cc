@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/state_io.hh"
 #include "core/operand_collector.hh"
 
 namespace scsim {
@@ -124,6 +125,53 @@ TEST_F(CollectorTest, DeathOnDuplicateOperandArrival)
     int cu = oc_.allocate(0, i, arb_, 0);
     oc_.operandArrived(cu, 1u);
     EXPECT_DEATH(oc_.operandArrived(cu, 1u), "twice");
+}
+
+TEST_F(CollectorTest, ReadyMaskTracksAllocationArrivalAndRelease)
+{
+    EXPECT_EQ(oc_.readyMask(), 0u);
+    Instruction fadd = Instruction::alu(Opcode::FADD, 0, 0, 1);
+    int cu = oc_.allocate(0, fadd, arb_, 0);
+    ASSERT_EQ(cu, 0);
+    EXPECT_EQ(oc_.readyMask(), 0u);        // two reads outstanding
+    oc_.operandArrived(cu, 0b01);
+    EXPECT_EQ(oc_.readyMask(), 0u);        // one still outstanding
+    oc_.operandArrived(cu, 0b10);
+    EXPECT_EQ(oc_.readyMask(), 0b01u);
+    // No source registers: ready from the moment it is allocated.
+    int mov = oc_.allocate(1, Instruction::alu(Opcode::MOV, 4), arb_, 0);
+    ASSERT_EQ(mov, 1);
+    EXPECT_EQ(oc_.readyMask(), 0b11u);
+    oc_.release(cu);
+    EXPECT_EQ(oc_.readyMask(), 0b10u);
+    oc_.release(mov);
+    EXPECT_EQ(oc_.readyMask(), 0u);
+    oc_.allocate(2, Instruction::alu(Opcode::MOV, 4), arb_, 0);
+    oc_.reset();
+    EXPECT_EQ(oc_.readyMask(), 0u);
+}
+
+TEST_F(CollectorTest, ReadyMaskIsRebuiltOnLoad)
+{
+    // CU 0 waits on a read, CU 1 is ready to dispatch.
+    oc_.allocate(0, Instruction::alu(Opcode::FADD, 0, 0, 1), arb_, 0);
+    oc_.allocate(1, Instruction::alu(Opcode::MOV, 4), arb_, 0);
+    StateWriter w;
+    oc_.saveState(w);
+
+    OperandCollector back(2);
+    StateReader r(w.payload());
+    back.loadState(r, 64);
+    EXPECT_EQ(back.readyMask(), 0b10u);
+    EXPECT_EQ(back.freeCount(), 0);
+
+    oc_.release(1);
+    StateWriter w2;
+    oc_.saveState(w2);
+    StateReader r2(w2.payload());
+    back.loadState(r2, 64);   // over a collector that had state
+    EXPECT_EQ(back.readyMask(), 0u);
+    EXPECT_EQ(back.freeCount(), 1);
 }
 
 } // namespace

@@ -1,7 +1,13 @@
 /** @file Tests for the banked register file arbiter. */
 
+#include <deque>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
+#include "common/state_io.hh"
 #include "core/reg_file.hh"
 
 namespace scsim {
@@ -131,6 +137,221 @@ TEST_P(ArbiterSweep, GrantInvariant)
 
 INSTANTIATE_TEST_SUITE_P(Banks, ArbiterSweep,
                          ::testing::Values(1, 2, 4, 8));
+
+TEST(RegFileArbiter, PowerOfTwoMaskAgreesWithModulo)
+{
+    // The masked and the divided forms of the swizzle are one mapping.
+    for (int banks : { 1, 2, 3, 4, 6, 8, 16 })
+        for (RegIndex reg = 0; reg < 64; ++reg)
+            for (WarpSlot w = 0; w < 64; ++w)
+                ASSERT_EQ(swizzleBank(reg, w, banks),
+                          static_cast<int>((static_cast<unsigned>(reg)
+                                            + 7u * static_cast<unsigned>(w))
+                                           % static_cast<unsigned>(banks)))
+                    << banks << " banks, r" << reg << " slot " << w;
+}
+
+// ---- FIFO ring -------------------------------------------------------------
+
+std::vector<int>
+contents(const FifoRing<int> &q)
+{
+    std::vector<int> out;
+    for (std::size_t i = 0; i < q.size(); ++i)
+        out.push_back(q[i]);
+    return out;
+}
+
+TEST(FifoRing, WrapsAroundInPlace)
+{
+    FifoRing<int> q;
+    for (int i = 0; i < 4; ++i)
+        q.push_back(i);   // fills the first ring of four
+    q.pop_front();
+    q.pop_front();
+    q.push_back(4);
+    q.push_back(5);       // wraps to the front slots, no growth
+    EXPECT_EQ(contents(q), (std::vector<int>{ 2, 3, 4, 5 }));
+    for (int expect = 2; expect <= 5; ++expect) {
+        ASSERT_FALSE(q.empty());
+        EXPECT_EQ(q.front(), expect);
+        q.pop_front();
+    }
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(FifoRing, GrowthWhileWrappedKeepsFifoOrder)
+{
+    FifoRing<int> q;
+    for (int i = 0; i < 4; ++i)
+        q.push_back(i);
+    q.pop_front();
+    q.pop_front();
+    q.pop_front();
+    for (int i = 4; i < 7; ++i)
+        q.push_back(i);   // wrapped: 3 sits at the back of the buffer
+    q.push_back(7);       // full and wrapped: grows to eight
+    q.push_back(8);
+    EXPECT_EQ(contents(q), (std::vector<int>{ 3, 4, 5, 6, 7, 8 }));
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    q.push_back(9);
+    EXPECT_EQ(q.front(), 9);
+}
+
+TEST(FifoRing, MatchesDequeUnderRandomTraffic)
+{
+    Rng rng(11);
+    FifoRing<int> q;
+    std::deque<int> ref;
+    for (int step = 0; step < 20000; ++step) {
+        if (ref.empty() || rng.next(3) != 0) {
+            q.push_back(step);
+            ref.push_back(step);
+        } else {
+            ASSERT_EQ(q.front(), ref.front());
+            q.pop_front();
+            ref.pop_front();
+        }
+        ASSERT_EQ(q.size(), ref.size());
+    }
+    EXPECT_EQ(contents(q), std::vector<int>(ref.begin(), ref.end()));
+}
+
+// ---- fused arbitration -----------------------------------------------------
+
+/** The arbiter as it was with std::deque queues and grant lists: per
+ *  bank pop a write and a read, count a conflict when a reader is left
+ *  waiting, and apply every read grant before every write grant. */
+struct DequeArbiter
+{
+    explicit DequeArbiter(int banks) : readQ(banks), writeQ(banks) {}
+
+    ArbGrants
+    arbitrate()
+    {
+        ArbGrants out;
+        for (std::size_t b = 0; b < readQ.size(); ++b) {
+            if (!writeQ[b].empty()) {
+                out.writes.push_back(writeQ[b].front());
+                writeQ[b].pop_front();
+            }
+            if (!readQ[b].empty()) {
+                out.reads.push_back(readQ[b].front());
+                readQ[b].pop_front();
+            }
+            if (!readQ[b].empty())
+                ++out.conflictCycles;
+        }
+        return out;
+    }
+
+    std::vector<std::deque<ReadRequest>> readQ;
+    std::vector<std::deque<WriteRequest>> writeQ;
+};
+
+/** One applied grant, tagged read (cu, mask) or write (warp, reg). */
+std::string
+describe(char kind, int a, int b)
+{
+    return std::string(1, kind) + std::to_string(a) + "/"
+        + std::to_string(b);
+}
+
+class FusedArbitration : public ::testing::TestWithParam<int> {};
+
+TEST_P(FusedArbitration, AppliesTheOldGrantSequence)
+{
+    const int banks = GetParam();
+    RegFileArbiter arb(banks);
+    DequeArbiter ref(banks);
+    Rng rng(static_cast<std::uint64_t>(banks) * 977);
+    for (int cycle = 0; cycle < 5000; ++cycle) {
+        // Bursty traffic so queues build up, wrap and grow.
+        int pushes = static_cast<int>(rng.next(cycle % 97 < 60 ? 5 : 1));
+        for (int i = 0; i < pushes; ++i) {
+            int bank = static_cast<int>(rng.next(
+                static_cast<std::uint64_t>(banks)));
+            if (rng.next(3) == 0) {
+                WriteRequest w{ static_cast<WarpSlot>(rng.next(64)),
+                                static_cast<RegIndex>(rng.next(255)) };
+                arb.pushWrite(bank, w);
+                ref.writeQ[static_cast<std::size_t>(bank)].push_back(w);
+            } else {
+                ReadRequest r{ static_cast<int>(rng.next(16)),
+                               static_cast<std::uint32_t>(1 + rng.next(7)) };
+                arb.pushRead(bank, r);
+                ref.readQ[static_cast<std::size_t>(bank)].push_back(r);
+            }
+        }
+        ArbGrants old = ref.arbitrate();
+        std::vector<std::string> expect, got;
+        for (const ReadRequest &g : old.reads)
+            expect.push_back(describe('r', g.cu, static_cast<int>(
+                                                     g.operandMask)));
+        for (const WriteRequest &g : old.writes)
+            expect.push_back(describe('w', g.warp, g.reg));
+        ArbTally t = arb.arbitrate(
+            [&](const ReadRequest &g) {
+                got.push_back(describe('r', g.cu,
+                                       static_cast<int>(g.operandMask)));
+            },
+            [&](const WriteRequest &g) {
+                got.push_back(describe('w', g.warp, g.reg));
+            });
+        ASSERT_EQ(got, expect) << "cycle " << cycle;
+        ASSERT_EQ(t.reads, static_cast<int>(old.reads.size()));
+        ASSERT_EQ(t.writes, static_cast<int>(old.writes.size()));
+        ASSERT_EQ(t.conflictCycles, old.conflictCycles);
+        ASSERT_EQ(arb.pendingOps(), arb.queuedOps());
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Banks, FusedArbitration,
+                         ::testing::Values(1, 2, 3, 4, 8));
+
+TEST(RegFileArbiter, SnapshotListsQueuesInFifoOrderAndRoundTrips)
+{
+    // Wrap bank 0's ring before saving: the snapshot must list the
+    // queue oldest first, exactly as iterating a deque did.
+    RegFileArbiter arb(2);
+    for (int cu = 0; cu < 4; ++cu)
+        arb.pushRead(0, ReadRequest{ cu, 1 });
+    ArbGrants g;
+    arb.arbitrate(g);
+    arb.arbitrate(g);
+    arb.pushRead(0, ReadRequest{ 4, 2 });
+    arb.pushRead(0, ReadRequest{ 5, 4 });
+    arb.pushWrite(1, WriteRequest{ 9, 17 });
+    StateWriter w;
+    arb.saveState(w);
+    EXPECT_EQ(w.payload(),
+              "rf.readq 4\n"
+              "rf.read.cu 2\nrf.read.mask 1\n"
+              "rf.read.cu 3\nrf.read.mask 1\n"
+              "rf.read.cu 4\nrf.read.mask 2\n"
+              "rf.read.cu 5\nrf.read.mask 4\n"
+              "rf.readq 0\n"
+              "rf.writeq 0\n"
+              "rf.writeq 1\n"
+              "rf.write.warp 9\nrf.write.reg 17\n"
+              "rf.pendingOps 5\n");
+
+    RegFileArbiter back(2);
+    StateReader r(w.payload());
+    back.loadState(r, 8, 64);
+    StateWriter again;
+    back.saveState(again);
+    EXPECT_EQ(again.payload(), w.payload());
+    std::vector<int> order;
+    while (back.anyPending()) {
+        g.clear();
+        back.arbitrate(g);
+        for (const ReadRequest &req : g.reads)
+            order.push_back(req.cu);
+    }
+    EXPECT_EQ(order, (std::vector<int>{ 2, 3, 4, 5 }));
+}
 
 } // namespace
 } // namespace scsim

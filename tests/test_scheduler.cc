@@ -1,7 +1,12 @@
 /** @file Tests for the warp issue schedulers (LRR, GTO, RBA). */
 
+#include <algorithm>
+#include <array>
+#include <numeric>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "core/scheduler.hh"
 
 namespace scsim {
@@ -142,6 +147,70 @@ TEST_F(SchedulerTest, FactoryProducesConfiguredPolicy)
     EXPECT_NE(dynamic_cast<RbaScheduler *>(
                   makeScheduler(SchedulerPolicy::RBA).get()),
               nullptr);
+}
+
+TEST(SchedulerPick, MaskPickEqualsListPickForGtoAndRba)
+{
+    // One scheduler table of up to 64 warps: unique ages (a random
+    // permutation), random instructions and bank queues, and a random
+    // candidate subset presented as a shuffled list.  The mask pick
+    // must choose the warp the list pick chooses, whatever the order.
+    Rng rng(2024);
+    std::vector<WarpContext> warps(64);
+    std::vector<WarpProgram> progs(64);
+    std::vector<std::uint32_t> ages(64);
+    std::iota(ages.begin(), ages.end(), 0u);
+    for (int trial = 0; trial < 4000; ++trial) {
+        std::shuffle(ages.begin(), ages.end(), rng);
+        const int banks = 1 + static_cast<int>(rng.next(4));
+        std::array<int, 4> qlen{};
+        for (int &q : qlen)
+            q = static_cast<int>(rng.next(trial % 2 ? 12 : 3));
+        for (std::size_t i = 0; i < warps.size(); ++i) {
+            auto reg = [&] {
+                return static_cast<RegIndex>(rng.next(5) == 0
+                                                 ? kNoReg
+                                                 : rng.next(32));
+            };
+            progs[i].code = { Instruction::alu(Opcode::FMA, 0, reg(), reg(),
+                                               reg()) };
+            warps[i].slot = static_cast<WarpSlot>(i);
+            warps[i].prog = &progs[i];
+            warps[i].ageRank = ages[i];
+        }
+        PickContext ctx;
+        ctx.warps = warps.data();
+        ctx.bankQueueLen = qlen.data();
+        ctx.numBanks = banks;
+
+        std::uint64_t cand = rng() & rng();   // about a quarter set
+        if ((cand & (cand - 1)) == 0)
+            cand |= 0b11;                    // the cluster needs two+
+        std::vector<WarpSlot> list;
+        for (WarpSlot s = 0; s < 64; ++s)
+            if (cand & slotBit(s))
+                list.push_back(s);
+        std::shuffle(list.begin(), list.end(), rng);
+
+        GtoScheduler gto;
+        ASSERT_TRUE(gto.picksFromMask());
+        if (rng.next(2))
+            gto.notifyIssued(static_cast<WarpSlot>(rng.next(64)), 0);
+        ASSERT_EQ(gto.pickMask(cand, ctx), gto.pick(list, ctx))
+            << "trial " << trial;
+        RbaScheduler rba;
+        ASSERT_TRUE(rba.picksFromMask());
+        ASSERT_EQ(rba.pickMask(cand, ctx), rba.pick(list, ctx))
+            << "trial " << trial;
+    }
+}
+
+TEST(SchedulerPick, OnlyRbaReadsBankQueuesAndLrrPicksFromLists)
+{
+    EXPECT_FALSE(makeScheduler(SchedulerPolicy::LRR)->readsBankQueues());
+    EXPECT_FALSE(makeScheduler(SchedulerPolicy::GTO)->readsBankQueues());
+    EXPECT_TRUE(makeScheduler(SchedulerPolicy::RBA)->readsBankQueues());
+    EXPECT_FALSE(makeScheduler(SchedulerPolicy::LRR)->picksFromMask());
 }
 
 } // namespace
