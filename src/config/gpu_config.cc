@@ -1,37 +1,149 @@
 #include "config/gpu_config.hh"
 
-#include <cstdlib>
+#include <cinttypes>
 #include <fstream>
-#include <functional>
-#include <map>
 #include <sstream>
 
 #include "common/logging.hh"
 
 namespace scsim {
 
+namespace {
+
+template <class P, std::size_t N>
+const char *
+policyName(const PolicyInfo<P> (&table)[N], P p)
+{
+    auto i = static_cast<std::size_t>(p);
+    return i < N ? table[i].name : "?";
+}
+
+/** The row of @p table named @p name; ConfigError listing the valid
+ *  names if there is none. */
+template <class P, std::size_t N>
+P
+policyNamed(const PolicyInfo<P> (&table)[N], const char *kind,
+            const std::string &name)
+{
+    for (const PolicyInfo<P> &row : table)
+        if (name == row.name)
+            return row.policy;
+    std::string valid;
+    for (const PolicyInfo<P> &row : table) {
+        if (!valid.empty())
+            valid += ", ";
+        valid += row.name;
+    }
+    scsim_throw(ConfigError, "unknown %s '%s' (valid: %s)", kind,
+                name.c_str(), valid.c_str());
+}
+
+/** Whole-text stream extraction.  The stream would read "-1" into
+ *  an unsigned field as its wrap-around, so a sign is refused there. */
+template <class T>
+bool
+parseNumber(const std::string &text, T &out)
+{
+    if constexpr (std::is_unsigned_v<T>) {
+        auto first = text.find_first_not_of(" \t");
+        if (first != std::string::npos && text[first] == '-')
+            return false;
+    }
+    std::istringstream iss(text);
+    T v{};
+    iss >> v;
+    if (iss.fail() || !iss.eof())
+        return false;
+    out = v;
+    return true;
+}
+
+/** Exactly as many names as GpuConfig has members: a member added to
+ *  the struct without a row in forEachField() fails to compile here
+ *  or at the row count below. */
+[[maybe_unused]] void
+bindEveryMember(const GpuConfig &c)
+{
+    [[maybe_unused]] const auto &[f01, f02, f03, f04, f05, f06, f07, f08,
+                                  f09, f10, f11, f12, f13, f14, f15, f16,
+                                  f17, f18, f19, f20, f21, f22, f23, f24,
+                                  f25, f26, f27, f28, f29, f30, f31, f32,
+                                  f33, f34, f35, f36, f37, f38, f39, f40,
+                                  f41, f42, f43, f44, f45, f46, f47] = c;
+}
+
+constexpr int
+fieldRows()
+{
+    GpuConfig c;
+    int rows = 0;
+    forEachField(c, [&rows](const char *, auto &) { ++rows; });
+    return rows;
+}
+static_assert(fieldRows() == 47, "forEachField(GpuConfig) rows");
+
+} // namespace
+
 const char *
 toString(SchedulerPolicy p)
 {
-    switch (p) {
-      case SchedulerPolicy::LRR: return "LRR";
-      case SchedulerPolicy::GTO: return "GTO";
-      case SchedulerPolicy::RBA: return "RBA";
-    }
-    return "?";
+    return policyName(kSchedulerPolicies, p);
 }
 
 const char *
 toString(AssignPolicy p)
 {
-    switch (p) {
-      case AssignPolicy::RoundRobin:  return "RR";
-      case AssignPolicy::SRR:         return "SRR";
-      case AssignPolicy::Shuffle:     return "Shuffle";
-      case AssignPolicy::HashSRR:     return "HashSRR";
-      case AssignPolicy::HashShuffle: return "HashShuffle";
-    }
-    return "?";
+    return policyName(kAssignPolicies, p);
+}
+
+std::string fieldText(int v) { return detail::format("%d", v); }
+std::string fieldText(std::uint32_t v) { return detail::format("%u", v); }
+
+std::string
+fieldText(std::uint64_t v)
+{
+    return detail::format("%" PRIu64, v);
+}
+
+std::string fieldText(double v) { return detail::format("%.17g", v); }
+std::string fieldText(bool v) { return v ? "1" : "0"; }
+std::string fieldText(SchedulerPolicy v) { return toString(v); }
+std::string fieldText(AssignPolicy v) { return toString(v); }
+
+bool
+parseFieldText(const std::string &text, int &out)
+{
+    return parseNumber(text, out);
+}
+
+bool
+parseFieldText(const std::string &text, std::uint32_t &out)
+{
+    return parseNumber(text, out);
+}
+
+bool
+parseFieldText(const std::string &text, std::uint64_t &out)
+{
+    return parseNumber(text, out);
+}
+
+bool
+parseFieldText(const std::string &text, double &out)
+{
+    return parseNumber(text, out);
+}
+
+bool
+parseFieldText(const std::string &text, bool &out)
+{
+    if (text == "1" || text == "true" || text == "on")
+        out = true;
+    else if (text == "0" || text == "false" || text == "off")
+        out = false;
+    else
+        return false;
+    return true;
 }
 
 void
@@ -78,100 +190,29 @@ GpuConfig::validate() const
         scsim_throw(ConfigError, "l1LineBytes must be a power of two");
 }
 
-namespace {
-
-template <typename T>
-T
-parseNumber(const std::string &key, const std::string &value)
-{
-    std::istringstream iss(value);
-    T out{};
-    iss >> out;
-    if (iss.fail() || !iss.eof())
-        scsim_throw(ConfigError, "cannot parse value '%s' for key '%s'",
-                    value.c_str(), key.c_str());
-    return out;
-}
-
-bool
-parseBool(const std::string &key, const std::string &value)
-{
-    if (value == "1" || value == "true" || value == "on")
-        return true;
-    if (value == "0" || value == "false" || value == "off")
-        return false;
-    scsim_throw(ConfigError, "cannot parse bool '%s' for key '%s'",
-                value.c_str(), key.c_str());
-}
-
-SchedulerPolicy
-parseScheduler(const std::string &value)
-{
-    if (value == "LRR") return SchedulerPolicy::LRR;
-    if (value == "GTO") return SchedulerPolicy::GTO;
-    if (value == "RBA") return SchedulerPolicy::RBA;
-    scsim_throw(ConfigError, "unknown scheduler policy '%s'", value.c_str());
-}
-
-AssignPolicy
-parseAssign(const std::string &value)
-{
-    if (value == "RR")          return AssignPolicy::RoundRobin;
-    if (value == "SRR")         return AssignPolicy::SRR;
-    if (value == "Shuffle")     return AssignPolicy::Shuffle;
-    if (value == "HashSRR")     return AssignPolicy::HashSRR;
-    if (value == "HashShuffle") return AssignPolicy::HashShuffle;
-    scsim_throw(ConfigError, "unknown assignment policy '%s'", value.c_str());
-}
-
-} // namespace
-
 void
 GpuConfig::set(const std::string &key, const std::string &value)
 {
-    using Setter = std::function<void(GpuConfig &, const std::string &)>;
-    #define SCSIM_NUM(field) \
-        { #field, [](GpuConfig &c, const std::string &v) { \
-              c.field = parseNumber<decltype(c.field)>(#field, v); } }
-    #define SCSIM_BOOL(field) \
-        { #field, [](GpuConfig &c, const std::string &v) { \
-              c.field = parseBool(#field, v); } }
-    static const std::map<std::string, Setter> setters = {
-        SCSIM_NUM(numSms), SCSIM_NUM(schedulersPerSm), SCSIM_NUM(subCores),
-        SCSIM_NUM(rfBanksPerSm), SCSIM_NUM(collectorUnitsPerSm),
-        SCSIM_NUM(maxWarpsPerSm), SCSIM_NUM(maxWarpsPerScheduler),
-        SCSIM_NUM(maxBlocksPerSm), SCSIM_NUM(regFileBytesPerSm),
-        SCSIM_NUM(smemBytesPerSm), SCSIM_NUM(hashTableEntries),
-        SCSIM_NUM(rbaScoreLatency),
-        SCSIM_NUM(issueWidthPerScheduler),
-        SCSIM_NUM(spPipesPerScheduler), SCSIM_NUM(spInitiation),
-        SCSIM_NUM(spLatency), SCSIM_NUM(sfuPipesPerScheduler),
-        SCSIM_NUM(sfuInitiation), SCSIM_NUM(sfuLatency),
-        SCSIM_NUM(tensorPipesPerScheduler), SCSIM_NUM(tensorInitiation),
-        SCSIM_NUM(tensorLatency), SCSIM_NUM(ldstPipesPerScheduler),
-        SCSIM_NUM(ldstInitiation),
-        SCSIM_NUM(l1Bytes), SCSIM_NUM(l1Ways), SCSIM_NUM(l1LineBytes),
-        SCSIM_NUM(l1HitLatency), SCSIM_NUM(l1PortsPerSm),
-        SCSIM_NUM(l2Bytes), SCSIM_NUM(l2Ways), SCSIM_NUM(l2HitLatency),
-        SCSIM_NUM(dramLatency), SCSIM_NUM(l2SectorsPerCyclePerSm),
-        SCSIM_NUM(dramSectorsPerCyclePerSm), SCSIM_NUM(smemLatency),
-        SCSIM_NUM(maxCycles), SCSIM_NUM(hangWindowCycles),
-        SCSIM_NUM(seed), SCSIM_NUM(rfTraceWindow),
-        SCSIM_BOOL(bankStealing), SCSIM_BOOL(enableIdleSkip),
-        SCSIM_BOOL(sharedWarpPool), SCSIM_BOOL(idealWarpMigration),
-        SCSIM_BOOL(rfTraceEnable),
-        { "scheduler", [](GpuConfig &c, const std::string &v) {
-              c.scheduler = parseScheduler(v); } },
-        { "assign", [](GpuConfig &c, const std::string &v) {
-              c.assign = parseAssign(v); } },
-    };
-    #undef SCSIM_NUM
-    #undef SCSIM_BOOL
-
-    auto it = setters.find(key);
-    if (it == setters.end())
+    bool found = false;
+    forEachField(*this, [&](const char *name, auto &field) {
+        if (found || key != name)
+            return;
+        found = true;
+        using T = std::remove_reference_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, SchedulerPolicy>) {
+            field = policyNamed(kSchedulerPolicies, "scheduler", value);
+        } else if constexpr (std::is_same_v<T, AssignPolicy>) {
+            field = policyNamed(kAssignPolicies, "assignment policy", value);
+        } else if (!parseFieldText(value, field)) {
+            if constexpr (std::is_same_v<T, bool>)
+                scsim_throw(ConfigError, "cannot parse bool '%s' for key '%s'",
+                            value.c_str(), name);
+            scsim_throw(ConfigError, "cannot parse value '%s' for key '%s'",
+                        value.c_str(), name);
+        }
+    });
+    if (!found)
         scsim_throw(ConfigError, "unknown configuration key '%s'", key.c_str());
-    it->second(*this, value);
 }
 
 void

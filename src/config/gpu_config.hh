@@ -14,8 +14,11 @@
 #ifndef SCSIM_CONFIG_GPU_CONFIG_HH
 #define SCSIM_CONFIG_GPU_CONFIG_HH
 
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "common/types.hh"
 
@@ -39,8 +42,79 @@ enum class AssignPolicy
     HashShuffle,//!< random permutations programmed into the hash table
 };
 
+/** One row of a policy table: the enum value, its configuration name
+ *  and the line `scsim_cli list-policies` prints for it. */
+template <class P>
+struct PolicyInfo
+{
+    P policy;
+    const char *name;
+    const char *description;
+};
+
+/** Every scheduler policy, one row per enum value in enum order.
+ *  Adding a policy is an enum value, a row here and a case in
+ *  makeScheduler()'s switch. */
+inline constexpr PolicyInfo<SchedulerPolicy> kSchedulerPolicies[] = {
+    { SchedulerPolicy::LRR, "LRR", "loose round robin" },
+    { SchedulerPolicy::GTO, "GTO", "greedy-then-oldest (paper baseline)" },
+    { SchedulerPolicy::RBA, "RBA",
+      "register-bank-aware: min bank score, oldest ties" },
+};
+
+/** Every assignment policy, likewise (cases in makeAssigner()). */
+inline constexpr PolicyInfo<AssignPolicy> kAssignPolicies[] = {
+    { AssignPolicy::RoundRobin, "RR",
+      "round robin: subcore = W mod N (hardware baseline)" },
+    { AssignPolicy::SRR, "SRR",
+      "skewed round robin: (W + floor(W/N)) mod N" },
+    { AssignPolicy::Shuffle, "Shuffle",
+      "random permutation per group of N warps" },
+    { AssignPolicy::HashSRR, "HashSRR",
+      "Fig 7 hash-table engine, SRR program" },
+    { AssignPolicy::HashShuffle, "HashShuffle",
+      "Fig 7 hash-table engine, random program" },
+};
+
+template <class P, std::size_t N>
+constexpr bool
+rowsInEnumOrder(const PolicyInfo<P> (&table)[N])
+{
+    for (std::size_t i = 0; i < N; ++i)
+        if (static_cast<std::size_t>(table[i].policy) != i)
+            return false;
+    return true;
+}
+static_assert(rowsInEnumOrder(kSchedulerPolicies));
+static_assert(rowsInEnumOrder(kAssignPolicies));
+
 const char *toString(SchedulerPolicy p);
 const char *toString(AssignPolicy p);
+
+/**
+ * A field value as the job key and the job wire record write it:
+ * integers in decimal, doubles as `%.17g` (which round-trips), bools
+ * as 0/1 and policies by name.
+ */
+std::string fieldText(int v);
+std::string fieldText(std::uint32_t v);
+std::string fieldText(std::uint64_t v);
+std::string fieldText(double v);
+std::string fieldText(bool v);
+std::string fieldText(SchedulerPolicy v);
+std::string fieldText(AssignPolicy v);
+
+/**
+ * Parse the whole of @p text as one field value into @p out; false
+ * (and @p out untouched) on garbage.  An unsigned field refuses a
+ * leading '-', which stream extraction would wrap around; a bool
+ * takes 1/true/on or 0/false/off.
+ */
+bool parseFieldText(const std::string &text, int &out);
+bool parseFieldText(const std::string &text, std::uint32_t &out);
+bool parseFieldText(const std::string &text, std::uint64_t &out);
+bool parseFieldText(const std::string &text, double &out);
+bool parseFieldText(const std::string &text, bool &out);
 
 /** Full simulator configuration.  Defaults reproduce Table II. */
 struct GpuConfig
@@ -159,6 +233,66 @@ struct GpuConfig
     /** Ampere A100-like: Volta sub-core layout, 108 SMs. */
     static GpuConfig a100Like();
 };
+
+/**
+ * Every GpuConfig field in declaration order, as f(name, field): the
+ * one list that GpuConfig::set(), the job key's canonical text and
+ * the job wire record iterate.  gpu_config.cc checks that it has a
+ * row for each member the struct declares.
+ */
+template <class C, class F>
+    requires std::same_as<std::remove_const_t<C>, GpuConfig>
+constexpr void
+forEachField(C &c, F &&f)
+{
+    f("numSms", c.numSms);
+    f("schedulersPerSm", c.schedulersPerSm);
+    f("subCores", c.subCores);
+    f("rfBanksPerSm", c.rfBanksPerSm);
+    f("collectorUnitsPerSm", c.collectorUnitsPerSm);
+    f("maxWarpsPerSm", c.maxWarpsPerSm);
+    f("maxWarpsPerScheduler", c.maxWarpsPerScheduler);
+    f("maxBlocksPerSm", c.maxBlocksPerSm);
+    f("regFileBytesPerSm", c.regFileBytesPerSm);
+    f("smemBytesPerSm", c.smemBytesPerSm);
+    f("scheduler", c.scheduler);
+    f("assign", c.assign);
+    f("hashTableEntries", c.hashTableEntries);
+    f("rbaScoreLatency", c.rbaScoreLatency);
+    f("bankStealing", c.bankStealing);
+    f("idealWarpMigration", c.idealWarpMigration);
+    f("issueWidthPerScheduler", c.issueWidthPerScheduler);
+    f("sharedWarpPool", c.sharedWarpPool);
+    f("spPipesPerScheduler", c.spPipesPerScheduler);
+    f("spInitiation", c.spInitiation);
+    f("spLatency", c.spLatency);
+    f("sfuPipesPerScheduler", c.sfuPipesPerScheduler);
+    f("sfuInitiation", c.sfuInitiation);
+    f("sfuLatency", c.sfuLatency);
+    f("tensorPipesPerScheduler", c.tensorPipesPerScheduler);
+    f("tensorInitiation", c.tensorInitiation);
+    f("tensorLatency", c.tensorLatency);
+    f("ldstPipesPerScheduler", c.ldstPipesPerScheduler);
+    f("ldstInitiation", c.ldstInitiation);
+    f("l1Bytes", c.l1Bytes);
+    f("l1Ways", c.l1Ways);
+    f("l1LineBytes", c.l1LineBytes);
+    f("l1HitLatency", c.l1HitLatency);
+    f("l1PortsPerSm", c.l1PortsPerSm);
+    f("l2Bytes", c.l2Bytes);
+    f("l2Ways", c.l2Ways);
+    f("l2HitLatency", c.l2HitLatency);
+    f("dramLatency", c.dramLatency);
+    f("l2SectorsPerCyclePerSm", c.l2SectorsPerCyclePerSm);
+    f("dramSectorsPerCyclePerSm", c.dramSectorsPerCyclePerSm);
+    f("smemLatency", c.smemLatency);
+    f("maxCycles", c.maxCycles);
+    f("hangWindowCycles", c.hangWindowCycles);
+    f("enableIdleSkip", c.enableIdleSkip);
+    f("seed", c.seed);
+    f("rfTraceEnable", c.rfTraceEnable);
+    f("rfTraceWindow", c.rfTraceWindow);
+}
 
 } // namespace scsim
 

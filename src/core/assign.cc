@@ -182,67 +182,40 @@ HashTableAssigner::programShuffle(Rng &rng)
     }
 }
 
-sim::Registry<sim::AssignerFactory> &
-sim::assignerRegistry()
-{
-    // Seeded on first use with the built-in policies; hash-table sizing
-    // comes from the config, per-SM subcore count and seed from the
-    // AssignerContext of the constructing SM.
-    static Registry<AssignerFactory> reg = [] {
-        Registry<AssignerFactory> r("assignment policy");
-        r.add("RR", "round robin: subcore = W mod N (hardware baseline)",
-              [](const GpuConfig &, const AssignerContext &ctx) {
-                  return std::make_unique<RoundRobinAssigner>(
-                      ctx.numSubcores);
-              });
-        r.add("SRR", "skewed round robin: (W + floor(W/N)) mod N",
-              [](const GpuConfig &, const AssignerContext &ctx) {
-                  return std::make_unique<SrrAssigner>(ctx.numSubcores);
-              });
-        r.add("Shuffle", "random permutation per group of N warps",
-              [](const GpuConfig &, const AssignerContext &ctx) {
-                  return std::make_unique<ShuffleAssigner>(
-                      ctx.numSubcores, ctx.seed);
-              });
-        r.add("HashSRR", "Fig 7 hash-table engine, SRR program",
-              [](const GpuConfig &cfg, const AssignerContext &ctx)
-                  -> std::unique_ptr<SubcoreAssigner> {
-                  auto a = std::make_unique<HashTableAssigner>(
-                      ctx.numSubcores, cfg.hashTableEntries);
-                  a->programSrr();
-                  return a;
-              });
-        r.add("HashShuffle", "Fig 7 hash-table engine, random program",
-              [](const GpuConfig &cfg, const AssignerContext &ctx)
-                  -> std::unique_ptr<SubcoreAssigner> {
-                  auto a = std::make_unique<HashTableAssigner>(
-                      ctx.numSubcores, cfg.hashTableEntries);
-                  Rng rng(ctx.seed);
-                  a->programShuffle(rng);
-                  return a;
-              });
-        return r;
-    }();
-    return reg;
-}
-
 std::unique_ptr<SubcoreAssigner>
 makeAssigner(const GpuConfig &cfg, int numSubcores, std::uint64_t seed)
 {
-    sim::AssignerContext ctx;
-    ctx.numSubcores = numSubcores;
-    ctx.seed = seed;
-    return sim::assignerRegistry().lookup(toString(cfg.assign))(cfg, ctx);
+    return makeAssigner(cfg.assign, numSubcores, cfg.hashTableEntries,
+                        seed);
 }
 
 std::unique_ptr<SubcoreAssigner>
 makeAssigner(AssignPolicy policy, int numSubcores, int hashEntries,
              std::uint64_t seed)
 {
-    GpuConfig cfg;
-    cfg.assign = policy;
-    cfg.hashTableEntries = hashEntries;
-    return makeAssigner(cfg, numSubcores, seed);
+    switch (policy) {
+      case AssignPolicy::RoundRobin:
+        return std::make_unique<RoundRobinAssigner>(numSubcores);
+      case AssignPolicy::SRR:
+        return std::make_unique<SrrAssigner>(numSubcores);
+      case AssignPolicy::Shuffle:
+        return std::make_unique<ShuffleAssigner>(numSubcores, seed);
+      case AssignPolicy::HashSRR: {
+        auto a = std::make_unique<HashTableAssigner>(numSubcores,
+                                                     hashEntries);
+        a->programSrr();
+        return a;
+      }
+      case AssignPolicy::HashShuffle: {
+        auto a = std::make_unique<HashTableAssigner>(numSubcores,
+                                                     hashEntries);
+        Rng rng(seed);
+        a->programShuffle(rng);
+        return a;
+      }
+    }
+    scsim_panic("assignment policy %d has no case",
+                static_cast<int>(policy));
 }
 
 } // namespace scsim

@@ -30,7 +30,6 @@
 
 #include "common/rng.hh"
 #include "config/gpu_config.hh"
-#include "sim/registry.hh"
 
 namespace scsim {
 
@@ -145,16 +144,14 @@ class HashTableAssigner : public SubcoreAssigner
 };
 
 /**
- * Build @p cfg's assignment policy through the registry
- * (sim/registry.hh); throws ConfigError if the policy name is not
- * registered.  @p seed feeds Shuffle's RNG (and the per-SM hash-table
- * programming for HashShuffle); the hash-table size comes from
- * cfg.hashTableEntries.
+ * Build @p cfg's assignment policy (a switch on the enum, so a policy
+ * added to AssignPolicy without a case fails -Wswitch).  @p seed feeds
+ * Shuffle's RNG (and the per-SM hash-table programming for
+ * HashShuffle); the hash-table size comes from cfg.hashTableEntries.
  */
 std::unique_ptr<SubcoreAssigner>
 makeAssigner(const GpuConfig &cfg, int numSubcores, std::uint64_t seed);
 
-/** Enum convenience over the registry path (tests). */
 std::unique_ptr<SubcoreAssigner>
 makeAssigner(AssignPolicy policy, int numSubcores, int hashEntries,
              std::uint64_t seed);

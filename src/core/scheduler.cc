@@ -173,42 +173,22 @@ RbaScheduler::pickMask(std::uint64_t cand, const PickContext &ctx)
     return best;
 }
 
-sim::Registry<sim::SchedulerFactory> &
-sim::schedulerRegistry()
-{
-    // Seeded on first use with the built-in policies — the registration
-    // lines below *are* the catalogue (there is no enum switch left).
-    static Registry<SchedulerFactory> reg = [] {
-        Registry<SchedulerFactory> r("scheduler");
-        r.add("LRR", "loose round robin",
-              [](const GpuConfig &) {
-                  return std::make_unique<LrrScheduler>();
-              });
-        r.add("GTO", "greedy-then-oldest (paper baseline)",
-              [](const GpuConfig &) {
-                  return std::make_unique<GtoScheduler>();
-              });
-        r.add("RBA", "register-bank-aware: min bank score, oldest ties",
-              [](const GpuConfig &) {
-                  return std::make_unique<RbaScheduler>();
-              });
-        return r;
-    }();
-    return reg;
-}
-
 std::unique_ptr<WarpScheduler>
 makeScheduler(const GpuConfig &cfg)
 {
-    return sim::schedulerRegistry().lookup(toString(cfg.scheduler))(cfg);
+    return makeScheduler(cfg.scheduler);
 }
 
 std::unique_ptr<WarpScheduler>
 makeScheduler(SchedulerPolicy policy)
 {
-    GpuConfig cfg;
-    cfg.scheduler = policy;
-    return makeScheduler(cfg);
+    switch (policy) {
+      case SchedulerPolicy::LRR: return std::make_unique<LrrScheduler>();
+      case SchedulerPolicy::GTO: return std::make_unique<GtoScheduler>();
+      case SchedulerPolicy::RBA: return std::make_unique<RbaScheduler>();
+    }
+    scsim_panic("scheduler policy %d has no case",
+                static_cast<int>(policy));
 }
 
 } // namespace scsim

@@ -24,7 +24,6 @@
 
 #include "config/gpu_config.hh"
 #include "core/warp.hh"
-#include "sim/registry.hh"
 
 namespace scsim {
 
@@ -125,15 +124,9 @@ class RbaScheduler : public WarpScheduler
     bool readsBankQueues() const override { return true; }
 };
 
-/**
- * Instantiate @p cfg's scheduler policy through the registry
- * (sim/registry.hh) — the one wiring path; throws ConfigError if the
- * policy name is not registered.
- */
+/** Instantiate @p cfg's scheduler policy (a switch on the enum, so a
+ *  policy added to SchedulerPolicy without a case fails -Wswitch). */
 std::unique_ptr<WarpScheduler> makeScheduler(const GpuConfig &cfg);
-
-/** Enum convenience over the registry path (tests, call sites with no
- *  full config at hand). */
 std::unique_ptr<WarpScheduler> makeScheduler(SchedulerPolicy policy);
 
 } // namespace scsim

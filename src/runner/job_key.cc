@@ -1,174 +1,70 @@
 #include "runner/job_key.hh"
 
 #include <cinttypes>
-#include <sstream>
+#include <cstdio>
+#include <type_traits>
 
-#include "common/logging.hh"
 #include "common/rng.hh"
 
 namespace scsim::runner {
 
 namespace {
 
-/**
- * Builds "key=value;" lists with locale-independent, round-trippable
- * number formatting so the canonical text is stable across hosts.
- */
-class Canon
+/** Appends one `key=value;` item; values use fieldText()'s
+ *  locale-independent, round-trippable formatting, so the canonical
+ *  text is stable across hosts. */
+void
+put(std::string &out, const char *key, const std::string &value)
 {
-  public:
-    void
-    field(const char *key, double v)
-    {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.17g", v);
-        raw(key, buf);
-    }
-
-    void
-    field(const char *key, std::uint64_t v)
-    {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-        raw(key, buf);
-    }
-
-    void field(const char *key, std::uint32_t v)
-    { field(key, static_cast<std::uint64_t>(v)); }
-
-    void
-    field(const char *key, int v)
-    {
-        char buf[16];
-        std::snprintf(buf, sizeof buf, "%d", v);
-        raw(key, buf);
-    }
-
-    void field(const char *key, bool v) { raw(key, v ? "1" : "0"); }
-
-    void
-    raw(const char *key, const std::string &v)
-    {
-        out_ += key;
-        out_ += '=';
-        out_ += v;
-        out_ += ';';
-    }
-
-    std::string take() { return std::move(out_); }
-
-  private:
-    std::string out_;
-};
+    out += key;
+    out += '=';
+    out += value;
+    out += ';';
+}
 
 } // namespace
 
 std::string
 canonicalText(const GpuConfig &cfg)
 {
-    // Every field of GpuConfig in declaration order.  When a field is
-    // added to the struct it must be added here, otherwise two
-    // configurations differing only in that field would collide; the
-    // test suite cross-checks a couple of representative knobs.
-    Canon c;
-    c.field("numSms", cfg.numSms);
-    c.field("schedulersPerSm", cfg.schedulersPerSm);
-    c.field("subCores", cfg.subCores);
-    c.field("rfBanksPerSm", cfg.rfBanksPerSm);
-    c.field("collectorUnitsPerSm", cfg.collectorUnitsPerSm);
-    c.field("maxWarpsPerSm", cfg.maxWarpsPerSm);
-    c.field("maxWarpsPerScheduler", cfg.maxWarpsPerScheduler);
-    c.field("maxBlocksPerSm", cfg.maxBlocksPerSm);
-    c.field("regFileBytesPerSm", cfg.regFileBytesPerSm);
-    c.field("smemBytesPerSm", cfg.smemBytesPerSm);
-    c.raw("scheduler", toString(cfg.scheduler));
-    c.raw("assign", toString(cfg.assign));
-    c.field("hashTableEntries", cfg.hashTableEntries);
-    c.field("rbaScoreLatency", cfg.rbaScoreLatency);
-    c.field("bankStealing", cfg.bankStealing);
-    c.field("idealWarpMigration", cfg.idealWarpMigration);
-    c.field("issueWidthPerScheduler", cfg.issueWidthPerScheduler);
-    c.field("sharedWarpPool", cfg.sharedWarpPool);
-    c.field("spPipesPerScheduler", cfg.spPipesPerScheduler);
-    c.field("spInitiation", cfg.spInitiation);
-    c.field("spLatency", cfg.spLatency);
-    c.field("sfuPipesPerScheduler", cfg.sfuPipesPerScheduler);
-    c.field("sfuInitiation", cfg.sfuInitiation);
-    c.field("sfuLatency", cfg.sfuLatency);
-    c.field("tensorPipesPerScheduler", cfg.tensorPipesPerScheduler);
-    c.field("tensorInitiation", cfg.tensorInitiation);
-    c.field("tensorLatency", cfg.tensorLatency);
-    c.field("ldstPipesPerScheduler", cfg.ldstPipesPerScheduler);
-    c.field("ldstInitiation", cfg.ldstInitiation);
-    c.field("l1Bytes", cfg.l1Bytes);
-    c.field("l1Ways", cfg.l1Ways);
-    c.field("l1LineBytes", cfg.l1LineBytes);
-    c.field("l1HitLatency", cfg.l1HitLatency);
-    c.field("l1PortsPerSm", cfg.l1PortsPerSm);
-    c.field("l2Bytes", cfg.l2Bytes);
-    c.field("l2Ways", cfg.l2Ways);
-    c.field("l2HitLatency", cfg.l2HitLatency);
-    c.field("dramLatency", cfg.dramLatency);
-    c.field("l2SectorsPerCyclePerSm", cfg.l2SectorsPerCyclePerSm);
-    c.field("dramSectorsPerCyclePerSm", cfg.dramSectorsPerCyclePerSm);
-    c.field("smemLatency", cfg.smemLatency);
-    c.field("maxCycles", cfg.maxCycles);
-    c.field("hangWindowCycles", cfg.hangWindowCycles);
-    c.field("enableIdleSkip", cfg.enableIdleSkip);
-    c.field("seed", cfg.seed);
-    c.field("rfTraceEnable", cfg.rfTraceEnable);
-    c.field("rfTraceWindow", static_cast<std::uint64_t>(cfg.rfTraceWindow));
-    return c.take();
+    std::string out;
+    forEachField(cfg, [&out](const char *name, const auto &value) {
+        put(out, name, fieldText(value));
+    });
+    return out;
 }
 
 std::string
 canonicalText(const AppSpec &app)
 {
-    Canon c;
-    c.raw("name", app.name);
-    c.raw("suite", app.suite);
-    c.field("numBlocks", app.numBlocks);
-    c.field("warpsPerBlock", app.warpsPerBlock);
-    c.field("regsPerThread", app.regsPerThread);
-    c.field("smemBytesPerBlock", app.smemBytesPerBlock);
-    c.field("numKernels", app.numKernels);
-    c.field("baseInsts", app.baseInsts);
-    c.field("fmaFrac", app.fmaFrac);
-    c.field("sfuFrac", app.sfuFrac);
-    c.field("tensorFrac", app.tensorFrac);
-    c.field("memFrac", app.memFrac);
-    c.field("storeFrac", app.storeFrac);
-    c.field("ilp", app.ilp);
-    c.field("regWindow", app.regWindow);
-    c.field("conflictBias", app.conflictBias);
-    c.field("hotRegFrac", app.hotRegFrac);
-    {
-        std::string pat;
-        for (double d : app.divPattern) {
-            char buf[64];
-            std::snprintf(buf, sizeof buf, "%.17g,", d);
-            pat += buf;
+    // Names go in raw; the division pattern is one "%.17g," per slot.
+    std::string out;
+    forEachField(app, [&out](const char *name, const auto &value) {
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+            put(out, name, value);
+        } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+            std::string pattern;
+            for (double d : value)
+                pattern += fieldText(d) + ',';
+            put(out, name, pattern);
+        } else {
+            put(out, name, fieldText(value));
         }
-        c.raw("divPattern", pat);
-    }
-    c.field("divNoise", app.divNoise);
-    c.field("divKernelFrac", app.divKernelFrac);
-    c.field("sectors", app.sectors);
-    c.field("footprintMB", app.footprintMB);
-    c.field("randomMem", app.randomMem);
-    return c.take();
+    });
+    return out;
 }
 
 std::string
 canonicalText(const SimJob &job)
 {
-    Canon c;
-    c.field("format", kResultFormatVersion);
-    c.raw("config", canonicalText(job.cfg));
-    c.raw("app", canonicalText(job.app));
-    c.field("salt", job.salt);
-    c.field("concurrent", job.concurrent);
-    return c.take();
+    std::string out;
+    put(out, "format", fieldText(kResultFormatVersion));
+    put(out, "config", canonicalText(job.cfg));
+    put(out, "app", canonicalText(job.app));
+    put(out, "salt", fieldText(job.salt));
+    put(out, "concurrent", fieldText(job.concurrent));
+    return out;
 }
 
 std::uint64_t

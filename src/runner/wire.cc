@@ -1,9 +1,9 @@
 #include "runner/wire.hh"
 
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -29,24 +29,6 @@ putLine(std::string &out, const char *key, const std::string &value)
     out += '\n';
 }
 
-void
-putU64(std::string &out, const char *key, std::uint64_t v)
-{
-    putLine(out, key, detail::format("%" PRIu64, v));
-}
-
-void
-putInt(std::string &out, const char *key, int v)
-{
-    putLine(out, key, detail::format("%d", v));
-}
-
-void
-putDouble(std::string &out, const char *key, double v)
-{
-    putLine(out, key, detail::format("%.17g", v));
-}
-
 /** Rest-of-line value after @p ls's current position, sans one
  *  leading separator space. */
 std::string
@@ -59,163 +41,64 @@ restOfLine(std::istringstream &ls)
     return rest;
 }
 
-/** Every GpuConfig field as a `cfg <key> <value>` line.  The key set
- *  mirrors canonicalText(GpuConfig) and must stay in lockstep with
- *  it: both enumerate "everything that determines a result". */
+/** Every GpuConfig field as a `cfg <key> <value>` line. */
 void
 putConfig(std::string &out, const GpuConfig &cfg)
 {
-    auto put = [&](const char *key, const std::string &v) {
+    forEachField(cfg, [&out](const char *name, const auto &value) {
         out += "cfg ";
-        out += key;
-        out += ' ';
-        out += v;
-        out += '\n';
-    };
-    auto putI = [&](const char *key, int v) {
-        put(key, detail::format("%d", v));
-    };
-    auto putU = [&](const char *key, std::uint64_t v) {
-        put(key, detail::format("%" PRIu64, v));
-    };
-    auto putB = [&](const char *key, bool v) { put(key, v ? "1" : "0"); };
-    auto putD = [&](const char *key, double v) {
-        put(key, detail::format("%.17g", v));
-    };
-
-    putI("numSms", cfg.numSms);
-    putI("schedulersPerSm", cfg.schedulersPerSm);
-    putI("subCores", cfg.subCores);
-    putI("rfBanksPerSm", cfg.rfBanksPerSm);
-    putI("collectorUnitsPerSm", cfg.collectorUnitsPerSm);
-    putI("maxWarpsPerSm", cfg.maxWarpsPerSm);
-    putI("maxWarpsPerScheduler", cfg.maxWarpsPerScheduler);
-    putI("maxBlocksPerSm", cfg.maxBlocksPerSm);
-    putU("regFileBytesPerSm", cfg.regFileBytesPerSm);
-    putU("smemBytesPerSm", cfg.smemBytesPerSm);
-    put("scheduler", toString(cfg.scheduler));
-    put("assign", toString(cfg.assign));
-    putI("hashTableEntries", cfg.hashTableEntries);
-    putI("rbaScoreLatency", cfg.rbaScoreLatency);
-    putB("bankStealing", cfg.bankStealing);
-    putB("idealWarpMigration", cfg.idealWarpMigration);
-    putI("issueWidthPerScheduler", cfg.issueWidthPerScheduler);
-    putB("sharedWarpPool", cfg.sharedWarpPool);
-    putI("spPipesPerScheduler", cfg.spPipesPerScheduler);
-    putI("spInitiation", cfg.spInitiation);
-    putI("spLatency", cfg.spLatency);
-    putI("sfuPipesPerScheduler", cfg.sfuPipesPerScheduler);
-    putI("sfuInitiation", cfg.sfuInitiation);
-    putI("sfuLatency", cfg.sfuLatency);
-    putI("tensorPipesPerScheduler", cfg.tensorPipesPerScheduler);
-    putI("tensorInitiation", cfg.tensorInitiation);
-    putI("tensorLatency", cfg.tensorLatency);
-    putI("ldstPipesPerScheduler", cfg.ldstPipesPerScheduler);
-    putI("ldstInitiation", cfg.ldstInitiation);
-    putU("l1Bytes", cfg.l1Bytes);
-    putI("l1Ways", cfg.l1Ways);
-    putI("l1LineBytes", cfg.l1LineBytes);
-    putI("l1HitLatency", cfg.l1HitLatency);
-    putI("l1PortsPerSm", cfg.l1PortsPerSm);
-    putU("l2Bytes", cfg.l2Bytes);
-    putI("l2Ways", cfg.l2Ways);
-    putI("l2HitLatency", cfg.l2HitLatency);
-    putI("dramLatency", cfg.dramLatency);
-    putD("l2SectorsPerCyclePerSm", cfg.l2SectorsPerCyclePerSm);
-    putD("dramSectorsPerCyclePerSm", cfg.dramSectorsPerCyclePerSm);
-    putI("smemLatency", cfg.smemLatency);
-    putU("maxCycles", cfg.maxCycles);
-    putU("hangWindowCycles", cfg.hangWindowCycles);
-    putB("enableIdleSkip", cfg.enableIdleSkip);
-    putU("seed", cfg.seed);
-    putB("rfTraceEnable", cfg.rfTraceEnable);
-    putU("rfTraceWindow", cfg.rfTraceWindow);
+        putLine(out, name, fieldText(value));
+    });
 }
 
+/** Every AppSpec field as an `app.<key> ...` line: names escaped onto
+ *  one line, the division pattern as one ` %.17g` per slot. */
 void
 putApp(std::string &out, const AppSpec &app)
 {
-    putLine(out, "app.name", escapeLine(app.name));
-    putLine(out, "app.suite", escapeLine(app.suite));
-    putInt(out, "app.numBlocks", app.numBlocks);
-    putInt(out, "app.warpsPerBlock", app.warpsPerBlock);
-    putInt(out, "app.regsPerThread", app.regsPerThread);
-    putU64(out, "app.smemBytesPerBlock", app.smemBytesPerBlock);
-    putInt(out, "app.numKernels", app.numKernels);
-    putInt(out, "app.baseInsts", app.baseInsts);
-    putDouble(out, "app.fmaFrac", app.fmaFrac);
-    putDouble(out, "app.sfuFrac", app.sfuFrac);
-    putDouble(out, "app.tensorFrac", app.tensorFrac);
-    putDouble(out, "app.memFrac", app.memFrac);
-    putDouble(out, "app.storeFrac", app.storeFrac);
-    putInt(out, "app.ilp", app.ilp);
-    putInt(out, "app.regWindow", app.regWindow);
-    putDouble(out, "app.conflictBias", app.conflictBias);
-    putDouble(out, "app.hotRegFrac", app.hotRegFrac);
-    {
-        std::string pat = "app.divPattern";
-        for (double d : app.divPattern)
-            pat += detail::format(" %.17g", d);
-        out += pat;
+    forEachField(app, [&out](const char *name, const auto &value) {
+        using T = std::decay_t<decltype(value)>;
+        out += "app.";
+        out += name;
+        if constexpr (std::is_same_v<T, std::string>) {
+            out += ' ' + escapeLine(value);
+        } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+            for (double d : value)
+                out += ' ' + fieldText(d);
+        } else {
+            out += ' ' + fieldText(value);
+        }
         out += '\n';
-    }
-    putDouble(out, "app.divNoise", app.divNoise);
-    putDouble(out, "app.divKernelFrac", app.divKernelFrac);
-    putInt(out, "app.sectors", app.sectors);
-    putU64(out, "app.footprintMB", app.footprintMB);
-    putLine(out, "app.randomMem", app.randomMem ? "1" : "0");
+    });
 }
 
 /** Parse one `app.<field> ...` line; Corrupt on a bad value. */
 StatsLine
 parseAppLine(const std::string &key, std::istringstream &ls, AppSpec &app)
 {
-    auto num = [&](auto &field) {
-        return static_cast<bool>(ls >> field) ? StatsLine::Consumed
-                                              : StatsLine::Corrupt;
-    };
-    if (key == "app.name") {
-        app.name = unescapeLine(restOfLine(ls));
-        return StatsLine::Consumed;
-    }
-    if (key == "app.suite") {
-        app.suite = unescapeLine(restOfLine(ls));
-        return StatsLine::Consumed;
-    }
-    if (key == "app.numBlocks") return num(app.numBlocks);
-    if (key == "app.warpsPerBlock") return num(app.warpsPerBlock);
-    if (key == "app.regsPerThread") return num(app.regsPerThread);
-    if (key == "app.smemBytesPerBlock") return num(app.smemBytesPerBlock);
-    if (key == "app.numKernels") return num(app.numKernels);
-    if (key == "app.baseInsts") return num(app.baseInsts);
-    if (key == "app.fmaFrac") return num(app.fmaFrac);
-    if (key == "app.sfuFrac") return num(app.sfuFrac);
-    if (key == "app.tensorFrac") return num(app.tensorFrac);
-    if (key == "app.memFrac") return num(app.memFrac);
-    if (key == "app.storeFrac") return num(app.storeFrac);
-    if (key == "app.ilp") return num(app.ilp);
-    if (key == "app.regWindow") return num(app.regWindow);
-    if (key == "app.conflictBias") return num(app.conflictBias);
-    if (key == "app.hotRegFrac") return num(app.hotRegFrac);
-    if (key == "app.divPattern") {
-        app.divPattern.clear();
-        double d;
-        while (ls >> d)
-            app.divPattern.push_back(d);
-        return StatsLine::Consumed;
-    }
-    if (key == "app.divNoise") return num(app.divNoise);
-    if (key == "app.divKernelFrac") return num(app.divKernelFrac);
-    if (key == "app.sectors") return num(app.sectors);
-    if (key == "app.footprintMB") return num(app.footprintMB);
-    if (key == "app.randomMem") {
-        int b;
-        if (!(ls >> b))
-            return StatsLine::Corrupt;
-        app.randomMem = b != 0;
-        return StatsLine::Consumed;
-    }
-    return StatsLine::Unknown;
+    if (key.rfind("app.", 0) != 0)
+        return StatsLine::Unknown;
+    StatsLine res = StatsLine::Unknown;
+    forEachField(app, [&](const char *name, auto &field) {
+        if (res != StatsLine::Unknown || key.compare(4, key.npos, name) != 0)
+            return;
+        using T = std::remove_reference_t<decltype(field)>;
+        res = StatsLine::Consumed;
+        if constexpr (std::is_same_v<T, std::string>) {
+            field = unescapeLine(restOfLine(ls));
+        } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+            field.clear();
+            double d;
+            while (ls >> d)
+                field.push_back(d);
+        } else {
+            std::string text;
+            ls >> text;
+            if (!parseFieldText(text, field))
+                res = StatsLine::Corrupt;
+        }
+    });
+    return res;
 }
 
 } // namespace
@@ -394,8 +277,8 @@ serializeJob(const SimJob &job)
 {
     std::string payload;
     putLine(payload, "tag", escapeLine(job.tag));
-    putU64(payload, "salt", job.salt);
-    putLine(payload, "concurrent", job.concurrent ? "1" : "0");
+    putLine(payload, "salt", fieldText(job.salt));
+    putLine(payload, "concurrent", fieldText(job.concurrent));
     putConfig(payload, job.cfg);
     putApp(payload, job.app);
     return frameRecord(kJobMagic, kJobWireVersion, payload);
@@ -451,11 +334,11 @@ serializeJobResult(const JobResult &r)
     putLine(payload, "key", keyToHex(r.key));
     putLine(payload, "status", toString(r.status));
     putLine(payload, "error", escapeLine(r.error));
-    putDouble(payload, "wallMs", r.wallMs);
-    putLine(payload, "cached", r.cached ? "1" : "0");
-    putInt(payload, "exitCode", r.exitCode);
-    putInt(payload, "termSignal", r.termSignal);
-    putInt(payload, "attempts", r.attempts);
+    putLine(payload, "wallMs", fieldText(r.wallMs));
+    putLine(payload, "cached", fieldText(r.cached));
+    putLine(payload, "exitCode", fieldText(r.exitCode));
+    putLine(payload, "termSignal", fieldText(r.termSignal));
+    putLine(payload, "attempts", fieldText(r.attempts));
     payload += serializeStatsPayload(r.stats);
     return frameRecord(kJobResMagic, kJobWireVersion, payload);
 }

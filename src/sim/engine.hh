@@ -8,9 +8,8 @@
  * workload, construct a GpuSim, pick run vs runConcurrent, collect
  * stats.  SimEngine is that wiring, once: build from a (validated)
  * config, run a workload, and optionally observe the run from hook
- * points.  Policy construction underneath goes through the string
- * registries (sim/registry.hh), so an engine-built simulator and the
- * legacy enum path are the same path.
+ * points.  Policies underneath are built by makeScheduler() and
+ * makeAssigner(), switches on the config's policy enums.
  *
  * The facade also owns the *stats fingerprint*: a 64-bit FNV-1a hash
  * of the canonical stats payload (stats/stats_io.hh).  Two runs are
@@ -60,9 +59,8 @@ class SimEngine
   public:
     /**
      * Build a simulator from @p cfg.  Validates the configuration
-     * (throws ConfigError) and constructs the GpuSim — policies are
-     * resolved through the registries at this point, so an unknown
-     * policy name fails here, not mid-run.
+     * (throws ConfigError) and constructs the GpuSim, policies
+     * included, so an inconsistent config fails here, not mid-run.
      */
     explicit SimEngine(const GpuConfig &cfg);
     ~SimEngine();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/logging.hh"
 
@@ -181,6 +182,24 @@ coefficientOfVariation(std::span<const double> xs)
     return d.cov();
 }
 
+namespace {
+
+/** Exactly as many names as SimStats has members: the counters of
+ *  kStatsCounters plus the issue matrix, the RF trace and the kernel
+ *  spans.  A member added to the struct fails to compile here, so it
+ *  gets a table row, or hand-written code in stats_io.cc and merge(). */
+[[maybe_unused]] void
+bindEveryMember(const SimStats &s)
+{
+    [[maybe_unused]] const auto &[f01, f02, f03, f04, f05, f06, f07, f08,
+                                  f09, f10, f11, f12, f13, f14, f15, f16,
+                                  f17, f18, f19, f20, f21, f22, f23, f24,
+                                  f25, f26] = s;
+}
+static_assert(std::size(kStatsCounters) + 3 == 26);
+
+} // namespace
+
 double
 SimStats::ipc() const
 {
@@ -192,9 +211,8 @@ SimStats::ipc() const
 void
 SimStats::merge(const SimStats &other)
 {
-    cycles += other.cycles;
-    instructions += other.instructions;
-    threadInstructions += other.threadInstructions;
+    for (const auto &[name, member] : kStatsCounters)
+        this->*member += other.*member;
 
     if (issuePerScheduler.size() < other.issuePerScheduler.size())
         issuePerScheduler.resize(other.issuePerScheduler.size());
@@ -207,35 +225,10 @@ SimStats::merge(const SimStats &other)
             ours[s] += theirs[s];
     }
 
-    schedCycles += other.schedCycles;
-    issueSlotsUsed += other.issueSlotsUsed;
-    stallNoWarp += other.stallNoWarp;
-    stallScoreboard += other.stallScoreboard;
-    stallNoCu += other.stallNoCu;
-    cuTurnaroundSum += other.cuTurnaroundSum;
-    cuDispatches += other.cuDispatches;
-
-    rfReads += other.rfReads;
-    rfWrites += other.rfWrites;
-    rfBankConflictCycles += other.rfBankConflictCycles;
-    collectorFullStalls += other.collectorFullStalls;
-    execStructuralStalls += other.execStructuralStalls;
-
-    l1Accesses += other.l1Accesses;
-    l1Misses += other.l1Misses;
-    l2Accesses += other.l2Accesses;
-    l2Misses += other.l2Misses;
-
-    blocksCompleted += other.blocksCompleted;
-    warpsCompleted += other.warpsCompleted;
-    assignSpills += other.assignSpills;
-
     rfReadTrace.merge(other.rfReadTrace);
 
     kernelSpans.insert(kernelSpans.end(), other.kernelSpans.begin(),
                        other.kernelSpans.end());
-
-    warpMigrations += other.warpMigrations;
 }
 
 double

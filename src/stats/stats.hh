@@ -178,6 +178,38 @@ struct SimStats
     void merge(const SimStats &other);
 };
 
+/**
+ * Every plain counter of SimStats, in stats-payload order: the one list
+ * that the payload codec (stats_io.cc) and SimStats::merge() iterate.
+ * The issue matrix, kernel spans and RF trace are coded by hand.
+ */
+inline constexpr std::pair<const char *, std::uint64_t SimStats::*>
+    kStatsCounters[] = {
+        { "cycles", &SimStats::cycles },
+        { "instructions", &SimStats::instructions },
+        { "threadInstructions", &SimStats::threadInstructions },
+        { "schedCycles", &SimStats::schedCycles },
+        { "issueSlotsUsed", &SimStats::issueSlotsUsed },
+        { "stallNoWarp", &SimStats::stallNoWarp },
+        { "stallScoreboard", &SimStats::stallScoreboard },
+        { "stallNoCu", &SimStats::stallNoCu },
+        { "cuTurnaroundSum", &SimStats::cuTurnaroundSum },
+        { "cuDispatches", &SimStats::cuDispatches },
+        { "rfReads", &SimStats::rfReads },
+        { "rfWrites", &SimStats::rfWrites },
+        { "rfBankConflictCycles", &SimStats::rfBankConflictCycles },
+        { "collectorFullStalls", &SimStats::collectorFullStalls },
+        { "execStructuralStalls", &SimStats::execStructuralStalls },
+        { "l1Accesses", &SimStats::l1Accesses },
+        { "l1Misses", &SimStats::l1Misses },
+        { "l2Accesses", &SimStats::l2Accesses },
+        { "l2Misses", &SimStats::l2Misses },
+        { "blocksCompleted", &SimStats::blocksCompleted },
+        { "warpsCompleted", &SimStats::warpsCompleted },
+        { "assignSpills", &SimStats::assignSpills },
+        { "warpMigrations", &SimStats::warpMigrations },
+    };
+
 } // namespace scsim
 
 #endif // SCSIM_STATS_STATS_HH

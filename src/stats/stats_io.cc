@@ -24,29 +24,8 @@ std::string
 serializeStatsPayload(const SimStats &stats)
 {
     std::string out;
-    putU64(out, "cycles", stats.cycles);
-    putU64(out, "instructions", stats.instructions);
-    putU64(out, "threadInstructions", stats.threadInstructions);
-    putU64(out, "schedCycles", stats.schedCycles);
-    putU64(out, "issueSlotsUsed", stats.issueSlotsUsed);
-    putU64(out, "stallNoWarp", stats.stallNoWarp);
-    putU64(out, "stallScoreboard", stats.stallScoreboard);
-    putU64(out, "stallNoCu", stats.stallNoCu);
-    putU64(out, "cuTurnaroundSum", stats.cuTurnaroundSum);
-    putU64(out, "cuDispatches", stats.cuDispatches);
-    putU64(out, "rfReads", stats.rfReads);
-    putU64(out, "rfWrites", stats.rfWrites);
-    putU64(out, "rfBankConflictCycles", stats.rfBankConflictCycles);
-    putU64(out, "collectorFullStalls", stats.collectorFullStalls);
-    putU64(out, "execStructuralStalls", stats.execStructuralStalls);
-    putU64(out, "l1Accesses", stats.l1Accesses);
-    putU64(out, "l1Misses", stats.l1Misses);
-    putU64(out, "l2Accesses", stats.l2Accesses);
-    putU64(out, "l2Misses", stats.l2Misses);
-    putU64(out, "blocksCompleted", stats.blocksCompleted);
-    putU64(out, "warpsCompleted", stats.warpsCompleted);
-    putU64(out, "assignSpills", stats.assignSpills);
-    putU64(out, "warpMigrations", stats.warpMigrations);
+    for (const auto &[name, member] : kStatsCounters)
+        putU64(out, name, stats.*member);
 
     for (const auto &row : stats.issuePerScheduler) {
         out += "issueRow";
@@ -87,34 +66,10 @@ parseStatsLine(const std::string &line, SimStats &s)
     if (!(ls >> key))
         return StatsLine::Unknown;
 
-    auto u64 = [&](std::uint64_t &field) {
-        return static_cast<bool>(ls >> field) ? StatsLine::Consumed
-                                              : StatsLine::Corrupt;
-    };
-
-    if (key == "cycles") return u64(s.cycles);
-    if (key == "instructions") return u64(s.instructions);
-    if (key == "threadInstructions") return u64(s.threadInstructions);
-    if (key == "schedCycles") return u64(s.schedCycles);
-    if (key == "issueSlotsUsed") return u64(s.issueSlotsUsed);
-    if (key == "stallNoWarp") return u64(s.stallNoWarp);
-    if (key == "stallScoreboard") return u64(s.stallScoreboard);
-    if (key == "stallNoCu") return u64(s.stallNoCu);
-    if (key == "cuTurnaroundSum") return u64(s.cuTurnaroundSum);
-    if (key == "cuDispatches") return u64(s.cuDispatches);
-    if (key == "rfReads") return u64(s.rfReads);
-    if (key == "rfWrites") return u64(s.rfWrites);
-    if (key == "rfBankConflictCycles") return u64(s.rfBankConflictCycles);
-    if (key == "collectorFullStalls") return u64(s.collectorFullStalls);
-    if (key == "execStructuralStalls") return u64(s.execStructuralStalls);
-    if (key == "l1Accesses") return u64(s.l1Accesses);
-    if (key == "l1Misses") return u64(s.l1Misses);
-    if (key == "l2Accesses") return u64(s.l2Accesses);
-    if (key == "l2Misses") return u64(s.l2Misses);
-    if (key == "blocksCompleted") return u64(s.blocksCompleted);
-    if (key == "warpsCompleted") return u64(s.warpsCompleted);
-    if (key == "assignSpills") return u64(s.assignSpills);
-    if (key == "warpMigrations") return u64(s.warpMigrations);
+    for (const auto &[name, member] : kStatsCounters)
+        if (key == name)
+            return static_cast<bool>(ls >> s.*member) ? StatsLine::Consumed
+                                                      : StatsLine::Corrupt;
 
     if (key == "issueRow") {
         std::vector<std::uint64_t> row;

@@ -10,6 +10,27 @@ namespace scsim {
 
 namespace {
 
+/** Exactly as many names as AppSpec has members: a member added to the
+ *  struct without a row in forEachField() fails to compile here or at
+ *  the row count below. */
+[[maybe_unused]] void
+bindEveryMember(const AppSpec &a)
+{
+    [[maybe_unused]] const auto &[f01, f02, f03, f04, f05, f06, f07, f08,
+                                  f09, f10, f11, f12, f13, f14, f15, f16,
+                                  f17, f18, f19, f20, f21, f22, f23] = a;
+}
+
+constexpr int
+fieldRows()
+{
+    AppSpec a;
+    int rows = 0;
+    forEachField(a, [&rows](const char *, auto &) { ++rows; });
+    return rows;
+}
+static_assert(fieldRows() == 23, "forEachField(AppSpec) rows");
+
 /** Generate one warp shape of @p len instructions for @p spec. */
 WarpProgram
 genShape(int len, const AppSpec &spec, std::uint8_t region, Rng &rng)

@@ -19,7 +19,9 @@
 #ifndef SCSIM_WORKLOADS_SUITE_HH
 #define SCSIM_WORKLOADS_SUITE_HH
 
+#include <concepts>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "trace/kernel.hh"
@@ -67,6 +69,42 @@ struct AppSpec
     std::uint64_t footprintMB = 64;
     bool randomMem = false;
 };
+
+/**
+ * Every AppSpec field in declaration order, as f(name, field): the one
+ * list that the job key's canonical text and the job wire record
+ * (both directions) iterate.  suite.cc checks that it has a row for
+ * each member the struct declares.
+ */
+template <class A, class F>
+    requires std::same_as<std::remove_const_t<A>, AppSpec>
+constexpr void
+forEachField(A &a, F &&f)
+{
+    f("name", a.name);
+    f("suite", a.suite);
+    f("numBlocks", a.numBlocks);
+    f("warpsPerBlock", a.warpsPerBlock);
+    f("regsPerThread", a.regsPerThread);
+    f("smemBytesPerBlock", a.smemBytesPerBlock);
+    f("numKernels", a.numKernels);
+    f("baseInsts", a.baseInsts);
+    f("fmaFrac", a.fmaFrac);
+    f("sfuFrac", a.sfuFrac);
+    f("tensorFrac", a.tensorFrac);
+    f("memFrac", a.memFrac);
+    f("storeFrac", a.storeFrac);
+    f("ilp", a.ilp);
+    f("regWindow", a.regWindow);
+    f("conflictBias", a.conflictBias);
+    f("hotRegFrac", a.hotRegFrac);
+    f("divPattern", a.divPattern);
+    f("divNoise", a.divNoise);
+    f("divKernelFrac", a.divKernelFrac);
+    f("sectors", a.sectors);
+    f("footprintMB", a.footprintMB);
+    f("randomMem", a.randomMem);
+}
 
 /** Materialize the synthetic application for @p spec. */
 Application buildApp(const AppSpec &spec, std::uint64_t seedSalt = 0);

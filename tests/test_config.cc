@@ -83,6 +83,14 @@ TEST(GpuConfigThrow, SetRejectsGarbageValue)
                       "unknown scheduler");
     EXPECT_THROW_WITH(c.set("bankStealing", "maybe"), ConfigError,
                       "cannot parse bool");
+    // Stream extraction would wrap a negative into an unsigned field.
+    EXPECT_THROW_WITH(c.set("regFileBytesPerSm", "-1"), ConfigError,
+                      "cannot parse value '-1'");
+    EXPECT_THROW_WITH(c.set("maxCycles", "-1"), ConfigError,
+                      "cannot parse value '-1'");
+    EXPECT_THROW_WITH(c.set("seed", " -5"), ConfigError, "cannot parse");
+    EXPECT_EQ(c.regFileBytesPerSm, GpuConfig{}.regFileBytesPerSm);
+    EXPECT_EQ(c.maxCycles, GpuConfig{}.maxCycles);
 }
 
 TEST(GpuConfigThrow, ValidateCatchesIndivisibleBanks)

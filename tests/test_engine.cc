@@ -1,14 +1,13 @@
 /**
  * @file
- * Engine & registry tests (ctest label `engine`).
+ * Engine & policy-table tests (ctest label `engine`).
  *
- * Covers the registry contract (stable order, duplicate rejection,
- * unknown-name ConfigError listing the valid names), the design
- * catalogue, the SimEngine facade (observer hooks, fingerprints), and
- * the golden equivalence matrix: every design point on the micro
- * workloads must produce a SimStats fingerprint byte-identical to the
- * pre-refactor enum path (goldens captured from seed behavior in
- * tests/goldens/engine_fingerprints.txt).
+ * Covers the policy tables (enum order, every row builds its policy,
+ * an unknown name lists the valid ones), the design catalogue, the
+ * SimEngine facade (observer hooks, fingerprints), and the golden
+ * equivalence matrix: every design point on the micro workloads must
+ * produce a SimStats fingerprint byte-identical to the seed behavior
+ * captured in tests/goldens/engine_fingerprints.txt.
  */
 
 #include <fstream>
@@ -20,88 +19,56 @@
 
 #include <gtest/gtest.h>
 
+#include "core/assign.hh"
+#include "core/scheduler.hh"
 #include "expect_throw.hh"
 #include "runner/design.hh"
 #include "sim/engine.hh"
-#include "sim/registry.hh"
 #include "workloads/microbench.hh"
 #include "workloads/suite.hh"
 
 namespace scsim {
 namespace {
 
-using sim::AssignerContext;
-using sim::Registry;
 using sim::SimEngine;
 
-using CountFactory = std::function<int()>;
-
-// ---- registry mechanism ---------------------------------------------------
-
-TEST(Registry, PreservesRegistrationOrder)
-{
-    Registry<CountFactory> reg("widget");
-    reg.add("c", "third? no — first", [] { return 0; });
-    reg.add("a", "second", [] { return 1; });
-    reg.add("b", "third", [] { return 2; });
-    EXPECT_EQ(reg.names(), (std::vector<std::string>{ "c", "a", "b" }));
-    EXPECT_EQ(reg.lookup("a")(), 1);
-}
-
-TEST(Registry, RejectsDuplicateNames)
-{
-    Registry<CountFactory> reg("widget");
-    reg.add("dup", "", [] { return 0; });
-    EXPECT_THROW_WITH(reg.add("dup", "", [] { return 1; }), ConfigError,
-                      "duplicate widget registration 'dup'");
-    // The failed add must not have corrupted the registry.
-    EXPECT_EQ(reg.names().size(), 1u);
-    EXPECT_EQ(reg.lookup("dup")(), 0);
-}
-
-TEST(Registry, UnknownLookupListsValidNames)
-{
-    Registry<CountFactory> reg("widget");
-    reg.add("left", "", [] { return 0; });
-    reg.add("right", "", [] { return 1; });
-    EXPECT_THROW_WITH(reg.lookup("middle"), ConfigError,
-                      "unknown widget 'middle' (valid: left, right)");
-    EXPECT_FALSE(reg.contains("middle"));
-    EXPECT_TRUE(reg.contains("right"));
-}
-
-TEST(Registry, DescribeAlignsEntries)
-{
-    Registry<CountFactory> reg("widget");
-    reg.add("x", "short name", [] { return 0; });
-    reg.add("longer", "long name", [] { return 1; });
-    std::string text = reg.describe();
-    EXPECT_NE(text.find("  x       short name\n"), std::string::npos);
-    EXPECT_NE(text.find("  longer  long name\n"), std::string::npos);
-}
-
-// ---- built-in policy registries -------------------------------------------
+// ---- policy tables ----------------------------------------------------------
 
 TEST(PolicyRegistries, BuiltinsRegisteredInEnumOrder)
 {
-    EXPECT_EQ(sim::schedulerRegistry().names(),
-              (std::vector<std::string>{ "LRR", "GTO", "RBA" }));
-    EXPECT_EQ(sim::assignerRegistry().names(),
-              (std::vector<std::string>{ "RR", "SRR", "Shuffle",
-                                         "HashSRR", "HashShuffle" }));
+    std::vector<std::string> scheds, assigns;
+    for (const auto &row : kSchedulerPolicies) {
+        scheds.push_back(row.name);
+        EXPECT_STREQ(toString(row.policy), row.name);
+    }
+    for (const auto &row : kAssignPolicies) {
+        assigns.push_back(row.name);
+        EXPECT_STREQ(toString(row.policy), row.name);
+    }
+    EXPECT_EQ(scheds, (std::vector<std::string>{ "LRR", "GTO", "RBA" }));
+    EXPECT_EQ(assigns, (std::vector<std::string>{ "RR", "SRR", "Shuffle",
+                                                  "HashSRR", "HashShuffle" }));
 }
 
 TEST(PolicyRegistries, FactoriesBuildTheRegisteredPolicy)
 {
     GpuConfig cfg = GpuConfig::volta();
-    auto sched = sim::schedulerRegistry().lookup("GTO")(cfg);
-    ASSERT_NE(sched, nullptr);
-    AssignerContext ctx;
-    ctx.numSubcores = 4;
-    ctx.seed = 7;
-    auto assigner = sim::assignerRegistry().lookup("SRR")(cfg, ctx);
-    ASSERT_NE(assigner, nullptr);
-    EXPECT_EQ(assigner->numSubcores(), 4);
+    for (const auto &row : kSchedulerPolicies) {
+        cfg.set("scheduler", row.name);
+        EXPECT_NE(makeScheduler(cfg), nullptr) << row.name;
+    }
+    cfg.set("scheduler", "GTO");
+    EXPECT_NE(dynamic_cast<GtoScheduler *>(makeScheduler(cfg).get()),
+              nullptr);
+    for (const auto &row : kAssignPolicies) {
+        cfg.set("assign", row.name);
+        auto assigner = makeAssigner(cfg, 4, 7);
+        ASSERT_NE(assigner, nullptr) << row.name;
+        EXPECT_EQ(assigner->numSubcores(), 4);
+    }
+
+    cfg.set("assign", "SRR");
+    auto assigner = makeAssigner(cfg, 4, 7);
     // SRR: subcore = (W + floor(W/N)) mod N.
     EXPECT_EQ(assigner->nextSubcore(), 0);
     EXPECT_EQ(assigner->nextSubcore(), 1);
@@ -113,8 +80,13 @@ TEST(PolicyRegistries, FactoriesBuildTheRegisteredPolicy)
 TEST(PolicyRegistries, UnknownPolicyNameThrowsConfigError)
 {
     GpuConfig cfg = GpuConfig::volta();
-    EXPECT_THROW_WITH(sim::schedulerRegistry().lookup("FIFO")(cfg),
-                      ConfigError, "unknown scheduler 'FIFO'");
+    EXPECT_THROW_WITH(cfg.set("scheduler", "FIFO"), ConfigError,
+                      "unknown scheduler 'FIFO' (valid: LRR, GTO, RBA)");
+    EXPECT_THROW_WITH(cfg.set("assign", "Hash"), ConfigError,
+                      "unknown assignment policy 'Hash' (valid: RR, SRR, "
+                      "Shuffle, HashSRR, HashShuffle)");
+    EXPECT_EQ(cfg.scheduler, SchedulerPolicy::GTO);
+    EXPECT_EQ(cfg.assign, AssignPolicy::RoundRobin);
 }
 
 // ---- design catalogue ------------------------------------------------------

@@ -26,6 +26,7 @@
 #include "common/fault_inject.hh"
 #include "common/text_escape.hh"
 #include "expect_throw.hh"
+#include "nudge_field.hh"
 #include "runner/job_key.hh"
 #include "runner/journal.hh"
 #include "runner/report.hh"
@@ -327,11 +328,11 @@ TEST(Wire, SimJobRoundTripsByteIdentically)
 {
     SimJob job;
     job.tag = "rt\njob, \"hostile\"";
-    job.cfg = tinyCfg();
-    job.cfg.numSms = 3;
-    job.app = tinyApp("round\ntrip");
+    // Every config and app field off its default.
+    forEachField(job.cfg, [](const char *, auto &field) { nudge(field); });
+    forEachField(job.app, [](const char *, auto &field) { nudge(field); });
+    job.app.name = "round\ntrip";
     job.app.divPattern = { 1.0, 0.625, 0.25 };
-    job.app.randomMem = true;
     job.salt = 77;
     job.concurrent = true;
 
@@ -342,6 +343,34 @@ TEST(Wire, SimJobRoundTripsByteIdentically)
     EXPECT_EQ(canonicalText(back), canonicalText(job));
     EXPECT_EQ(jobKey(back), jobKey(job));
     EXPECT_EQ(serializeJob(back), text);
+}
+
+TEST(Wire, ParseJobRefusesSignOnUnsignedField)
+{
+    SimJob job;
+    job.app = tinyApp("signed");
+    const std::string text = serializeJob(job);
+    const std::string magic = text.substr(0, text.find(' '));
+    const std::string payload = text.substr(text.find('\n') + 1);
+    // Re-frame @p payload with one line swapped, checksum and all.
+    auto swapped = [&](const std::string &from, const std::string &to) {
+        std::string p = payload;
+        auto at = p.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        p.replace(at, from.size(), to);
+        return frameRecord(magic.c_str(), kJobWireVersion, p);
+    };
+
+    SimJob back;
+    EXPECT_EQ(parseJob(swapped("\napp.smemBytesPerBlock 0\n",
+                               "\napp.smemBytesPerBlock -1\n"), back),
+              WireDecode::Corrupt);
+    EXPECT_EQ(parseJob(swapped("\napp.footprintMB 1\n",
+                               "\napp.footprintMB -1\n"), back),
+              WireDecode::Corrupt);
+    EXPECT_THROW_WITH(parseJob(swapped("\ncfg maxCycles 200000000\n",
+                                       "\ncfg maxCycles -1\n"), back),
+                      ConfigError, "cannot parse value '-1'");
 }
 
 // ---- subprocess runner ------------------------------------------------

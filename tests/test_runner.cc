@@ -11,18 +11,26 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "expect_throw.hh"
+#include "nudge_field.hh"
 #include "runner/design.hh"
 #include "runner/dispatcher.hh"
 #include "runner/job_key.hh"
 #include "runner/report.hh"
 #include "runner/result_cache.hh"
 #include "runner/sweep_engine.hh"
+#include "runner/wire.hh"
 
 namespace scsim::runner {
 namespace {
@@ -108,12 +116,141 @@ TEST(JobKey, SensitiveToEveryInput)
     SimJob pattern = base;
     pattern.app.divPattern = { 1.0, 4.0 };
     EXPECT_NE(jobKey(pattern), k);
+
+    // Every config and app field, moved off its value on its own.
+    SimJob moved = base;
+    std::set<std::string> names;
+    std::set<const void *> members;
+    auto check = [&](const char *name, auto &field) {
+        EXPECT_TRUE(names.insert(name).second) << "duplicate " << name;
+        EXPECT_TRUE(members.insert(&field).second) << "aliased " << name;
+        auto saved = field;
+        nudge(field);
+        EXPECT_NE(jobKey(moved), k) << name;
+        field = saved;
+    };
+    forEachField(moved.cfg, check);
+    names.clear();
+    forEachField(moved.app, check);
+    EXPECT_EQ(members.size(), 47u + 23u);
+    EXPECT_EQ(jobKey(moved), k);
 }
 
 TEST(JobKey, HexIsFixedWidth)
 {
     EXPECT_EQ(keyToHex(0x1), "0000000000000001");
     EXPECT_EQ(keyToHex(0xdeadbeefcafef00dULL), "deadbeefcafef00d");
+}
+
+/** A job with every config and app field off its default, spelled out
+ *  field by field so it does not depend on the field lists it pins. */
+SimJob
+offDefaultJob()
+{
+    SimJob job;
+    job.tag = "off-default";
+    job.salt = 5;
+    job.concurrent = true;
+    const std::pair<const char *, const char *> cfgFields[] = {
+        { "numSms", "6" }, { "schedulersPerSm", "8" }, { "subCores", "2" },
+        { "rfBanksPerSm", "16" }, { "collectorUnitsPerSm", "12" },
+        { "maxWarpsPerSm", "48" }, { "maxWarpsPerScheduler", "12" },
+        { "maxBlocksPerSm", "24" }, { "regFileBytesPerSm", "131072" },
+        { "smemBytesPerSm", "65536" }, { "scheduler", "RBA" },
+        { "assign", "HashShuffle" }, { "hashTableEntries", "16" },
+        { "rbaScoreLatency", "3" }, { "bankStealing", "1" },
+        { "idealWarpMigration", "1" }, { "issueWidthPerScheduler", "2" },
+        { "sharedWarpPool", "1" }, { "spPipesPerScheduler", "2" },
+        { "spInitiation", "1" }, { "spLatency", "5" },
+        { "sfuPipesPerScheduler", "2" }, { "sfuInitiation", "4" },
+        { "sfuLatency", "18" }, { "tensorPipesPerScheduler", "2" },
+        { "tensorInitiation", "2" }, { "tensorLatency", "12" },
+        { "ldstPipesPerScheduler", "2" }, { "ldstInitiation", "2" },
+        { "l1Bytes", "65536" }, { "l1Ways", "4" }, { "l1LineBytes", "64" },
+        { "l1HitLatency", "30" }, { "l1PortsPerSm", "2" },
+        { "l2Bytes", "4194304" }, { "l2Ways", "16" },
+        { "l2HitLatency", "200" }, { "dramLatency", "400" },
+        { "l2SectorsPerCyclePerSm", "0.3" },
+        { "dramSectorsPerCyclePerSm", "0.125" }, { "smemLatency", "20" },
+        { "maxCycles", "12345678" }, { "hangWindowCycles", "54321" },
+        { "enableIdleSkip", "0" }, { "seed", "99" },
+        { "rfTraceEnable", "1" }, { "rfTraceWindow", "256" },
+    };
+    for (const auto &[key, value] : cfgFields)
+        job.cfg.set(key, value);
+
+    AppSpec &a = job.app;
+    a.name = "every field";
+    a.suite = "pinned\\suite";
+    a.numBlocks = 9;
+    a.warpsPerBlock = 3;
+    a.regsPerThread = 40;
+    a.smemBytesPerBlock = 2048;
+    a.numKernels = 2;
+    a.baseInsts = 77;
+    a.fmaFrac = 0.3;
+    a.sfuFrac = 0.05;
+    a.tensorFrac = 0.1;
+    a.memFrac = 0.2;
+    a.storeFrac = 0.4;
+    a.ilp = 2;
+    a.regWindow = 12;
+    a.conflictBias = 0.6;
+    a.hotRegFrac = 0.15;
+    a.divPattern = { 1.0, 2.5, 0.1 };
+    a.divNoise = 0.07;
+    a.divKernelFrac = 0.5;
+    a.sectors = 2;
+    a.footprintMB = 3;
+    a.randomMem = true;
+    return job;
+}
+
+/**
+ * The jobs whose keys and wire bytes tests/goldens/job_keys.txt pins:
+ * every catalogue design on one suite app, plus offDefaultJob().  A
+ * moved key orphans every warm cache directory, journal and snapshot;
+ * moved wire bytes break mixed-version farm peers.
+ */
+std::vector<SimJob>
+pinnedJobs()
+{
+    std::vector<SimJob> jobs;
+    GpuConfig base = GpuConfig::volta();
+    base.numSms = 6;
+    AppSpec app = findApp("tpcC-q2", 0.1);
+    for (const DesignInfo &d : designCatalog())
+        jobs.push_back(SimJob{ d.name, designConfig(base, d.name), app, 0,
+                               false });
+    jobs.push_back(offDefaultJob());
+    return jobs;
+}
+
+TEST(JobKey, MatchesPinnedGoldens)
+{
+    std::ifstream in(SCSIM_JOB_KEY_GOLDENS);
+    ASSERT_TRUE(in.good()) << "missing goldens: " SCSIM_JOB_KEY_GOLDENS;
+    std::map<std::string, std::pair<std::string, std::string>> goldens;
+    std::string line;
+    while (std::getline(in, line)) {
+        std::istringstream ls(line);
+        std::string tag, key, wire;
+        std::getline(ls, tag, '\t');
+        std::getline(ls, key, '\t');
+        std::getline(ls, wire, '\t');
+        if (!tag.empty())
+            goldens[tag] = { key, wire };
+    }
+
+    std::vector<SimJob> jobs = pinnedJobs();
+    EXPECT_EQ(goldens.size(), jobs.size());
+    for (const SimJob &job : jobs) {
+        std::string key = keyToHex(jobKey(job));
+        std::string wire = keyToHex(hashString(serializeJob(job)));
+        // A mismatch prints the line the file would need.
+        EXPECT_EQ(goldens[job.tag], std::make_pair(key, wire))
+            << job.tag << "\t" << key << "\t" << wire;
+    }
 }
 
 TEST(ResultCache, SerializeRoundTrip)

@@ -1,10 +1,13 @@
 /** @file Unit tests for statistics primitives. */
 
 #include <cmath>
+#include <iterator>
+#include <set>
 
 #include <gtest/gtest.h>
 
 #include "stats/stats.hh"
+#include "stats/stats_io.hh"
 
 namespace scsim {
 namespace {
@@ -214,7 +217,7 @@ statsShard(std::uint64_t base)
     s.threadInstructions = base * 64;
     s.issuePerScheduler = { { base, base + 1 }, { base + 2, base + 3 } };
     s.schedCycles = base * 4;
-    s.issueSlotsUsed = base * 2;
+    s.issueSlotsUsed = base * 2 + 1;
     s.stallNoWarp = base + 5;
     s.stallScoreboard = base + 6;
     s.stallNoCu = base + 7;
@@ -266,6 +269,21 @@ TEST(SimStats, MergeEqualsSequentialAccumulation)
     ASSERT_EQ(merged.rfReadTrace.samples().size(), 2u);
     EXPECT_DOUBLE_EQ(merged.rfReadTrace.samples()[0], 25.0);
     EXPECT_DOUBLE_EQ(merged.rfReadTrace.samples()[1], 250.0);
+
+    // Every counter in the table: distinct in a shard (so a crossed
+    // member pointer shows), summed by merge, and carried by the
+    // stats payload.
+    const SimStats a = statsShard(100), b = statsShard(1000);
+    std::set<std::uint64_t> distinct;
+    SimStats back;
+    ASSERT_TRUE(parseStatsPayload(serializeStatsPayload(merged), back));
+    for (const auto &[name, member] : kStatsCounters) {
+        distinct.insert(a.*member);
+        EXPECT_EQ(merged.*member, a.*member + b.*member) << name;
+        EXPECT_EQ(back.*member, merged.*member) << name;
+    }
+    EXPECT_EQ(distinct.size(), std::size(kStatsCounters));
+    EXPECT_EQ(serializeStatsPayload(back), serializeStatsPayload(merged));
 }
 
 TEST(SimStats, MergeGrowsIssueMatrix)

@@ -39,7 +39,7 @@
  *   scsim_cli version            (build + wire protocol versions)
  *   scsim_cli list [--suite parboil]
  *   scsim_cli list-designs       (design points + config overlays)
- *   scsim_cli list-policies      (scheduler / assignment registries)
+ *   scsim_cli list-policies      (scheduler / assignment policy tables)
  *   scsim_cli dump --app cg-lou --out cg-lou.sctrace [--scale 0.5]
  *   scsim_cli info [--set key=value ...]
  *
@@ -58,6 +58,7 @@
  * contain — test machinery for the containment paths.
  */
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -85,7 +86,6 @@
 #include "runner/dispatcher.hh"
 #include "runner/journal.hh"
 #include "sim/engine.hh"
-#include "sim/registry.hh"
 #include "runner/job_key.hh"
 #include "runner/report.hh"
 #include "runner/sweep_engine.hh"
@@ -1177,14 +1177,25 @@ cmdListDesigns()
     return 0;
 }
 
-/** `list-policies`: the scheduler and assignment registries. */
+/** One aligned "name  description" line per row of a policy table. */
+template <class P, std::size_t N>
+void
+printPolicies(const char *title, const PolicyInfo<P> (&table)[N])
+{
+    int width = 0;
+    for (const PolicyInfo<P> &row : table)
+        width = std::max(width, static_cast<int>(std::strlen(row.name)));
+    std::printf("%s:\n", title);
+    for (const PolicyInfo<P> &row : table)
+        std::printf("  %-*s  %s\n", width, row.name, row.description);
+}
+
+/** `list-policies`: the scheduler and assignment policy tables. */
 int
 cmdListPolicies()
 {
-    std::printf("warp schedulers:\n%s",
-                sim::schedulerRegistry().describe().c_str());
-    std::printf("assignment policies:\n%s",
-                sim::assignerRegistry().describe().c_str());
+    printPolicies("warp schedulers", kSchedulerPolicies);
+    printPolicies("assignment policies", kAssignPolicies);
     return 0;
 }
 
