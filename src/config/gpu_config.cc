@@ -2,9 +2,9 @@
 
 #include <cinttypes>
 #include <fstream>
-#include <sstream>
 
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 
 namespace scsim {
 
@@ -36,26 +36,6 @@ policyNamed(const PolicyInfo<P> (&table)[N], const char *kind,
     }
     scsim_throw(ConfigError, "unknown %s '%s' (valid: %s)", kind,
                 name.c_str(), valid.c_str());
-}
-
-/** Whole-text stream extraction.  The stream would read "-1" into
- *  an unsigned field as its wrap-around, so a sign is refused there. */
-template <class T>
-bool
-parseNumber(const std::string &text, T &out)
-{
-    if constexpr (std::is_unsigned_v<T>) {
-        auto first = text.find_first_not_of(" \t");
-        if (first != std::string::npos && text[first] == '-')
-            return false;
-    }
-    std::istringstream iss(text);
-    T v{};
-    iss >> v;
-    if (iss.fail() || !iss.eof())
-        return false;
-    out = v;
-    return true;
 }
 
 /** Exactly as many names as GpuConfig has members: a member added to

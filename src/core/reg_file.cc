@@ -27,15 +27,6 @@ RegFileArbiter::pushWrite(int bank, WriteRequest req)
     ++pendingOps_;
 }
 
-void
-RegFileArbiter::arbitrate(ArbGrants &out)
-{
-    out.conflictCycles +=
-        arbitrate([&](const ReadRequest &g) { out.reads.push_back(g); },
-                  [&](const WriteRequest &g) { out.writes.push_back(g); })
-            .conflictCycles;
-}
-
 std::uint64_t
 RegFileArbiter::queuedOps() const
 {

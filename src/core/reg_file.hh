@@ -98,22 +98,6 @@ class FifoRing
     std::size_t size_ = 0;
 };
 
-/** Output of one arbitration cycle, as lists (for tests; the issue
- *  cluster applies grants directly, see arbitrate()). */
-struct ArbGrants
-{
-    std::vector<ReadRequest> reads;
-    std::vector<WriteRequest> writes;
-    int conflictCycles = 0;     //!< banks left with waiting readers
-    void
-    clear()
-    {
-        reads.clear();
-        writes.clear();
-        conflictCycles = 0;
-    }
-};
-
 /** Grant counts of one arbitration cycle. */
 struct ArbTally
 {
@@ -189,9 +173,6 @@ class RegFileArbiter
         pendingOps_ -= static_cast<std::uint64_t>(t.reads + t.writes);
         return t;
     }
-
-    /** The same arbitration, appending the grants to @p out. */
-    void arbitrate(ArbGrants &out);
 
     /** Current read-queue length of @p bank (ground truth, no delay). */
     int

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/parse_number.hh"
 #include "common/text_escape.hh"
 
 namespace scsim {
@@ -16,6 +17,15 @@ putU64(std::string &out, const char *key, std::uint64_t v)
     char buf[96];
     std::snprintf(buf, sizeof buf, "%s %" PRIu64 "\n", key, v);
     out += buf;
+}
+
+/** The next token of @p ls as a count; false if there is none or it
+ *  is not an unsigned number (a sign included). */
+bool
+readCount(std::istream &ls, std::uint64_t &v)
+{
+    std::string tok;
+    return ls >> tok && parseNumber(tok, v);
 }
 
 } // namespace
@@ -68,20 +78,24 @@ parseStatsLine(const std::string &line, SimStats &s)
 
     for (const auto &[name, member] : kStatsCounters)
         if (key == name)
-            return static_cast<bool>(ls >> s.*member) ? StatsLine::Consumed
-                                                      : StatsLine::Corrupt;
+            return readCount(ls, s.*member) ? StatsLine::Consumed
+                                            : StatsLine::Corrupt;
 
     if (key == "issueRow") {
         std::vector<std::uint64_t> row;
+        std::string tok;
         std::uint64_t v;
-        while (ls >> v)
+        while (ls >> tok) {
+            if (!parseNumber(tok, v))
+                return StatsLine::Corrupt;
             row.push_back(v);
+        }
         s.issuePerScheduler.push_back(std::move(row));
         return StatsLine::Consumed;
     }
     if (key == "kernelSpan") {
         std::uint64_t span;
-        if (!(ls >> span))
+        if (!readCount(ls, span))
             return StatsLine::Corrupt;
         std::string name;
         std::getline(ls, name);
@@ -92,7 +106,7 @@ parseStatsLine(const std::string &line, SimStats &s)
     }
     if (key == "rfTraceWindow") {
         std::uint64_t w;
-        if (!(ls >> w))
+        if (!readCount(ls, w))
             return StatsLine::Corrupt;
         s.rfReadTrace = TimeSeries{ w };
         return StatsLine::Consumed;

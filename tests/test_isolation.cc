@@ -12,6 +12,7 @@
  */
 
 #include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <sys/time.h>
 
 #include "common/fault_inject.hh"
 #include "common/text_escape.hh"
@@ -419,6 +421,88 @@ TEST(Subprocess, TimeoutKillsTheChild)
     EXPECT_TRUE(r.timedOut);
     EXPECT_TRUE(r.termSignal == SIGTERM || r.termSignal == SIGKILL)
         << "termSignal " << r.termSignal;
+}
+
+TEST(Subprocess, TimeoutKillsAChildThatClosedItsPipes)
+{
+    // No pipe is left to wake the parent: only the deadline ends it.
+    SubprocessResult r = runSubprocess(
+        { "/bin/sh", "-c", "exec <&- >&- 2>&-; sleep 30" }, "", 0.5);
+    EXPECT_TRUE(r.timedOut);
+    EXPECT_TRUE(r.termSignal == SIGTERM || r.termSignal == SIGKILL)
+        << "termSignal " << r.termSignal;
+}
+
+TEST(Subprocess, ReapsPromptlyAfterPipesClose)
+{
+    // Each child outlives its closed pipes by 5 ms, so a reap that
+    // waits 20 ms or more after the pipes close needs at least
+    // kRuns x 20 ms in all; a prompt one needs about kRuns x 7 ms.
+    // Both exit watches are held to it: the pidfd and the waitpid poll
+    // used where there is none.  Registered RUN_SERIAL
+    // (tests/CMakeLists.txt): the bound is on wall-clock time.
+    constexpr int kRuns = 50;
+    for (auto run : { runSubprocess, runSubprocessWithoutPidfd }) {
+        auto start = std::chrono::steady_clock::now();
+        for (int i = 0; i < kRuns; ++i) {
+            SubprocessResult r = run(
+                { "/bin/sh", "-c", "exec >&- 2>&-; sleep 0.005; exit 4" },
+                "", 30.0, 8192);
+            EXPECT_EQ(r.exitCode, 4);
+            EXPECT_EQ(r.termSignal, 0);
+        }
+        EXPECT_LT(std::chrono::steady_clock::now() - start,
+                  std::chrono::milliseconds(kRuns * 15))
+            << (run == runSubprocess ? "pidfd" : "waitpid poll");
+    }
+}
+
+TEST(Subprocess, WithoutPidfdReportsEveryOutcome)
+{
+    // The path taken where pidfd_open fails keeps the same contract.
+    SubprocessResult r = runSubprocessWithoutPidfd(
+        { "/bin/sh", "-c", "cat; exit 3" }, "fed\nthrough\n", 30.0);
+    EXPECT_EQ(r.exitCode, 3);
+    EXPECT_EQ(r.stdoutText, "fed\nthrough\n");
+    EXPECT_FALSE(r.timedOut);
+
+    r = runSubprocessWithoutPidfd({ "/bin/sh", "-c", "kill -s SEGV $$" },
+                                  "", 30.0);
+    EXPECT_EQ(r.termSignal, SIGSEGV);
+
+    r = runSubprocessWithoutPidfd({ "/bin/sh", "-c", "sleep 30" }, "", 0.5);
+    EXPECT_TRUE(r.timedOut);
+    EXPECT_TRUE(r.termSignal == SIGTERM || r.termSignal == SIGKILL)
+        << "termSignal " << r.termSignal;
+
+    r = runSubprocessWithoutPidfd(
+        { "/bin/sh", "-c", "exec <&- >&- 2>&-; sleep 30" }, "", 0.5);
+    EXPECT_TRUE(r.timedOut);
+    EXPECT_TRUE(r.termSignal == SIGTERM || r.termSignal == SIGKILL)
+        << "termSignal " << r.termSignal;
+
+    r = runSubprocessWithoutPidfd({ "/nonexistent/scsim-no-such-binary" },
+                                  "", 30.0);
+    EXPECT_EQ(r.exitCode, 127);
+}
+
+TEST(Subprocess, SignalDoesNotEndTheWaitEarly)
+{
+    // `serve` catches SIGTERM, and poll() is not restarted after a
+    // handler runs.  The child exits at once but leaves a grandchild
+    // holding stdout that writes 30 ms later, inside the quiet interval;
+    // SIGALRM every 5 ms must not cut that interval short.
+    struct sigaction sa = {}, old = {};
+    sa.sa_handler = [](int) {};
+    ASSERT_EQ(::sigaction(SIGALRM, &sa, &old), 0);
+    itimerval every5ms = { { 0, 5000 }, { 0, 5000 } }, off = {};
+    ASSERT_EQ(::setitimer(ITIMER_REAL, &every5ms, nullptr), 0);
+    SubprocessResult r = runSubprocess(
+        { "/bin/sh", "-c", "(sleep 0.03; echo late) & exit 0" }, "", 30.0);
+    ::setitimer(ITIMER_REAL, &off, nullptr);
+    ::sigaction(SIGALRM, &old, nullptr);
+    EXPECT_EQ(r.exitCode, 0);
+    EXPECT_EQ(r.stdoutText, "late\n");
 }
 
 TEST(Subprocess, ExecFailureReportsExit127)

@@ -1,5 +1,7 @@
 /** @file Tests for collector units and the operand collector. */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/state_io.hh"
@@ -12,6 +14,18 @@ class CollectorTest : public ::testing::Test
 {
   protected:
     CollectorTest() : arb_(2), oc_(2) {}
+
+    /** One arbitration cycle's read grants. */
+    std::vector<ReadRequest>
+    grantReads()
+    {
+        std::vector<ReadRequest> reads;
+        arb_.arbitrate(
+            [&](const ReadRequest &r) { reads.push_back(r); },
+            [](const WriteRequest &) {});
+        return reads;
+    }
+
     RegFileArbiter arb_;
     OperandCollector oc_;
 };
@@ -35,12 +49,11 @@ TEST_F(CollectorTest, DuplicateRegistersShareOneRead)
     ASSERT_GE(cu, 0);
     EXPECT_EQ(arb_.readQueueLen(0) + arb_.readQueueLen(1), 1);
 
-    ArbGrants g;
-    arb_.arbitrate(g);
-    ASSERT_EQ(g.reads.size(), 1u);
+    std::vector<ReadRequest> reads = grantReads();
+    ASSERT_EQ(reads.size(), 1u);
     // The single grant fills both operand slots.
-    EXPECT_EQ(g.reads[0].operandMask, 0b011u);
-    oc_.operandArrived(cu, g.reads[0].operandMask);
+    EXPECT_EQ(reads[0].operandMask, 0b011u);
+    oc_.operandArrived(cu, reads[0].operandMask);
     EXPECT_TRUE(oc_.unit(cu).ready());
 }
 
@@ -48,15 +61,11 @@ TEST_F(CollectorTest, ReadyAfterAllOperandsArrive)
 {
     Instruction fma = Instruction::alu(Opcode::FMA, 0, 0, 1, 2);
     int cu = oc_.allocate(0, fma, arb_, 0);
-    ArbGrants g;
     // Two arbitration rounds drain the conflicting bank.
-    arb_.arbitrate(g);
-    for (const auto &r : g.reads)
+    for (const auto &r : grantReads())
         oc_.operandArrived(r.cu, r.operandMask);
     EXPECT_FALSE(oc_.unit(cu).ready());
-    g.clear();
-    arb_.arbitrate(g);
-    for (const auto &r : g.reads)
+    for (const auto &r : grantReads())
         oc_.operandArrived(r.cu, r.operandMask);
     EXPECT_TRUE(oc_.unit(cu).ready());
 }

@@ -13,6 +13,25 @@
 namespace scsim {
 namespace {
 
+/** One arbitration cycle's grants, collected through the callbacks. */
+struct Grants
+{
+    std::vector<ReadRequest> reads;
+    std::vector<WriteRequest> writes;
+    int conflictCycles = 0;     //!< banks left with waiting readers
+};
+
+Grants
+grant(RegFileArbiter &arb)
+{
+    Grants g;
+    g.conflictCycles =
+        arb.arbitrate([&](const ReadRequest &r) { g.reads.push_back(r); },
+                      [&](const WriteRequest &w) { g.writes.push_back(w); })
+            .conflictCycles;
+    return g;
+}
+
 TEST(RegFileArbiter, BankSwizzle)
 {
     RegFileArbiter arb(2);
@@ -33,15 +52,13 @@ TEST(RegFileArbiter, OneReadPerBankPerCycle)
     arb.pushRead(0, ReadRequest{ 1, 1 });
     arb.pushRead(1, ReadRequest{ 2, 1 });
 
-    ArbGrants g;
-    arb.arbitrate(g);
+    Grants g = grant(arb);
     EXPECT_EQ(g.reads.size(), 2u);        // one per bank
     EXPECT_EQ(g.conflictCycles, 1);       // bank 0 still has a reader
     EXPECT_EQ(arb.readQueueLen(0), 1);
     EXPECT_EQ(arb.readQueueLen(1), 0);
 
-    g.clear();
-    arb.arbitrate(g);
+    g = grant(arb);
     EXPECT_EQ(g.reads.size(), 1u);
     EXPECT_EQ(g.conflictCycles, 0);
     EXPECT_FALSE(arb.anyPending());
@@ -52,12 +69,10 @@ TEST(RegFileArbiter, ReadsAreFifoPerBank)
     RegFileArbiter arb(1);
     arb.pushRead(0, ReadRequest{ 7, 1 });
     arb.pushRead(0, ReadRequest{ 8, 2 });
-    ArbGrants g;
-    arb.arbitrate(g);
+    Grants g = grant(arb);
     ASSERT_EQ(g.reads.size(), 1u);
     EXPECT_EQ(g.reads[0].cu, 7);
-    g.clear();
-    arb.arbitrate(g);
+    g = grant(arb);
     ASSERT_EQ(g.reads.size(), 1u);
     EXPECT_EQ(g.reads[0].cu, 8);
 }
@@ -67,8 +82,7 @@ TEST(RegFileArbiter, WritePortIsIndependent)
     RegFileArbiter arb(2);
     arb.pushRead(0, ReadRequest{ 0, 1 });
     arb.pushWrite(0, WriteRequest{ 3, 12 });
-    ArbGrants g;
-    arb.arbitrate(g);
+    Grants g = grant(arb);
     // Same bank grants both its read and its write this cycle.
     EXPECT_EQ(g.reads.size(), 1u);
     ASSERT_EQ(g.writes.size(), 1u);
@@ -82,13 +96,11 @@ TEST(RegFileArbiter, WritesQueuePerBank)
     RegFileArbiter arb(1);
     arb.pushWrite(0, WriteRequest{ 1, 1 });
     arb.pushWrite(0, WriteRequest{ 2, 2 });
-    ArbGrants g;
-    arb.arbitrate(g);
+    Grants g = grant(arb);
     ASSERT_EQ(g.writes.size(), 1u);
     EXPECT_EQ(g.writes[0].warp, 1);
     EXPECT_TRUE(arb.anyPending());
-    g.clear();
-    arb.arbitrate(g);
+    g = grant(arb);
     ASSERT_EQ(g.writes.size(), 1u);
     EXPECT_EQ(g.writes[0].warp, 2);
 }
@@ -124,12 +136,10 @@ TEST_P(ArbiterSweep, GrantInvariant)
         arb.pushRead(b, ReadRequest{ b, 1 });
         arb.pushRead(b, ReadRequest{ b + 100, 1 });
     }
-    ArbGrants g;
-    arb.arbitrate(g);
+    Grants g = grant(arb);
     EXPECT_EQ(static_cast<int>(g.reads.size()), banks);
     EXPECT_EQ(g.conflictCycles, banks);
-    g.clear();
-    arb.arbitrate(g);
+    g = grant(arb);
     EXPECT_EQ(static_cast<int>(g.reads.size()), banks);
     EXPECT_EQ(g.conflictCycles, 0);
     EXPECT_FALSE(arb.anyPending());
@@ -227,10 +237,10 @@ struct DequeArbiter
 {
     explicit DequeArbiter(int banks) : readQ(banks), writeQ(banks) {}
 
-    ArbGrants
+    Grants
     arbitrate()
     {
-        ArbGrants out;
+        Grants out;
         for (std::size_t b = 0; b < readQ.size(); ++b) {
             if (!writeQ[b].empty()) {
                 out.writes.push_back(writeQ[b].front());
@@ -284,7 +294,7 @@ TEST_P(FusedArbitration, AppliesTheOldGrantSequence)
                 ref.readQ[static_cast<std::size_t>(bank)].push_back(r);
             }
         }
-        ArbGrants old = ref.arbitrate();
+        Grants old = ref.arbitrate();
         std::vector<std::string> expect, got;
         for (const ReadRequest &g : old.reads)
             expect.push_back(describe('r', g.cu, static_cast<int>(
@@ -317,9 +327,8 @@ TEST(RegFileArbiter, SnapshotListsQueuesInFifoOrderAndRoundTrips)
     RegFileArbiter arb(2);
     for (int cu = 0; cu < 4; ++cu)
         arb.pushRead(0, ReadRequest{ cu, 1 });
-    ArbGrants g;
-    arb.arbitrate(g);
-    arb.arbitrate(g);
+    grant(arb);
+    grant(arb);
     arb.pushRead(0, ReadRequest{ 4, 2 });
     arb.pushRead(0, ReadRequest{ 5, 4 });
     arb.pushWrite(1, WriteRequest{ 9, 17 });
@@ -344,12 +353,9 @@ TEST(RegFileArbiter, SnapshotListsQueuesInFifoOrderAndRoundTrips)
     back.saveState(again);
     EXPECT_EQ(again.payload(), w.payload());
     std::vector<int> order;
-    while (back.anyPending()) {
-        g.clear();
-        back.arbitrate(g);
-        for (const ReadRequest &req : g.reads)
+    while (back.anyPending())
+        for (const ReadRequest &req : grant(back).reads)
             order.push_back(req.cu);
-    }
     EXPECT_EQ(order, (std::vector<int>{ 2, 3, 4, 5 }));
 }
 

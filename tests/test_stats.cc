@@ -286,6 +286,32 @@ TEST(SimStats, MergeEqualsSequentialAccumulation)
     EXPECT_EQ(serializeStatsPayload(back), serializeStatsPayload(merged));
 }
 
+TEST(SimStats, PayloadRefusesSignedOrRaggedCounts)
+{
+    // A signed token would read as its wrap-around (-1 as 2^64 - 1).
+    const std::string good = serializeStatsPayload(statsShard(5));
+    for (const char *line :
+         { "cycles -1", "warpMigrations -7", "issueRow -2",
+           "issueRow 1 2 -3", "kernelSpan -4 k", "rfTraceWindow -8",
+           "cycles 5x", "issueRow 1 2x", "rfTraceWindow" }) {
+        SimStats s;
+        EXPECT_EQ(parseStatsLine(line, s), StatsLine::Corrupt) << line;
+        std::string bad = good;
+        bad.append(line).append("\n");
+        SimStats back = statsShard(9);
+        EXPECT_FALSE(parseStatsPayload(bad, back)) << line;
+        EXPECT_EQ(serializeStatsPayload(back),
+                  serializeStatsPayload(statsShard(9)))
+            << "untouched on failure: " << line;
+    }
+    SimStats s;
+    EXPECT_EQ(parseStatsLine("cycles 18446744073709551615", s),
+              StatsLine::Consumed);
+    EXPECT_EQ(s.cycles, 18446744073709551615u);
+    EXPECT_EQ(parseStatsLine("cycles 18446744073709551616", s),
+              StatsLine::Corrupt);
+}
+
 TEST(SimStats, MergeGrowsIssueMatrix)
 {
     SimStats small;
