@@ -23,6 +23,9 @@ using RegIndex = std::int16_t;
 /** Sentinel register index meaning "no register operand". */
 inline constexpr RegIndex kNoReg = -1;
 
+/** Architectural registers per thread: every index is below this. */
+inline constexpr int kMaxRegs = 256;
+
 /** Warp-slot index inside an SM (0 .. maxWarpsPerSm-1). */
 using WarpSlot = std::int32_t;
 

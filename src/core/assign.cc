@@ -1,5 +1,6 @@
 #include "core/assign.hh"
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/logging.hh"
@@ -22,28 +23,11 @@ SrrAssigner::nextSubcore()
     return sub;
 }
 
+template <class Self, class V>
 void
-RoundRobinAssigner::saveState(StateWriter &w) const
+CountingAssigner::visit(Self &self, V &v)
 {
-    w.u64("assign.w", w_);
-}
-
-void
-RoundRobinAssigner::loadState(StateReader &r)
-{
-    w_ = r.u64("assign.w");
-}
-
-void
-SrrAssigner::saveState(StateWriter &w) const
-{
-    w.u64("assign.w", w_);
-}
-
-void
-SrrAssigner::loadState(StateReader &r)
-{
-    w_ = r.u64("assign.w");
+    v.field("assign.w", self.w_);
 }
 
 ShuffleAssigner::ShuffleAssigner(int numSubcores, std::uint64_t seed)
@@ -76,35 +60,31 @@ ShuffleAssigner::reset()
     refill();
 }
 
+template <class Self, class V>
 void
-ShuffleAssigner::saveState(StateWriter &w) const
+ShuffleAssigner::visit(Self &self, V &v)
 {
-    Rng::State st = rng_.state();
-    for (std::uint64_t word : st.s)
-        w.u64("assign.rng", word);
-    for (int p : perm_)
-        w.i64("assign.perm", p);
-    w.u64("assign.pos", pos_);
-}
-
-void
-ShuffleAssigner::loadState(StateReader &r)
-{
-    Rng::State st;
-    for (std::uint64_t &word : st.s)
-        word = r.u64("assign.rng");
-    rng_.setState(st);
-    perm_.resize(static_cast<std::size_t>(n_));
-    for (int &p : perm_)
-        p = static_cast<int>(r.i64("assign.perm"));
-    pos_ = r.u64("assign.pos");
-    if (pos_ > perm_.size())
-        scsim_throw(CacheError, "snapshot: shuffle pos %zu out of range",
-                    pos_);
+    Rng::State st = self.rng_.state();
+    for (auto &word : st.s)
+        v.field("assign.rng", word);
+    // Entries are handed out as sub-core indices.
+    for (auto &p : self.perm_)
+        v.field("assign.perm", p, below(self.n_));
+    v.field("assign.pos", self.pos_, inRange(0, self.n_));
+    if constexpr (V::kReads) {
+        self.rng_.setState(st);
+        std::vector<int> sorted = self.perm_;
+        std::sort(sorted.begin(), sorted.end());
+        if (std::adjacent_find(sorted.begin(), sorted.end())
+            != sorted.end())
+            scsim_throw(CacheError,
+                        "snapshot: shuffle permutation repeats a "
+                        "sub-core");
+    }
 }
 
 HashTableAssigner::HashTableAssigner(int numSubcores, int entries)
-    : SubcoreAssigner(numSubcores),
+    : CountingAssigner(numSubcores),
       table_(static_cast<std::size_t>(entries), 0)
 {
     scsim_assert(numSubcores == 4,
@@ -139,22 +119,15 @@ HashTableAssigner::nextSubcore()
     return (sel1 << 1) | sel0;
 }
 
+template <class Self, class V>
 void
-HashTableAssigner::saveState(StateWriter &w) const
+HashTableAssigner::visit(Self &self, V &v)
 {
-    w.u64("assign.w", w_);
+    CountingAssigner::visit(self, v);
     // The table is programmed deterministically at construction, but a
     // test may have repatched it through setEntry — persist it too.
-    for (std::uint8_t e : table_)
-        w.u64("assign.entry", e);
-}
-
-void
-HashTableAssigner::loadState(StateReader &r)
-{
-    w_ = r.u64("assign.w");
-    for (std::uint8_t &e : table_)
-        e = static_cast<std::uint8_t>(r.u64("assign.entry"));
+    for (auto &e : self.table_)
+        v.field("assign.entry", e);
 }
 
 void
@@ -181,6 +154,16 @@ HashTableAssigner::programShuffle(Rng &rng)
         table_[g] = encodeEntry(subs);
     }
 }
+
+template void CountingAssigner::visit(const CountingAssigner &,
+                                      StateWriter &);
+template void CountingAssigner::visit(CountingAssigner &, StateReader &);
+template void ShuffleAssigner::visit(const ShuffleAssigner &,
+                                     StateWriter &);
+template void ShuffleAssigner::visit(ShuffleAssigner &, StateReader &);
+template void HashTableAssigner::visit(const HashTableAssigner &,
+                                       StateWriter &);
+template void HashTableAssigner::visit(HashTableAssigner &, StateReader &);
 
 std::unique_ptr<SubcoreAssigner>
 makeAssigner(const GpuConfig &cfg, int numSubcores, std::uint64_t seed)

@@ -47,9 +47,9 @@ class SubcoreAssigner
 
     virtual void reset() = 0;
 
-    /** Checkpointing; stateless policies keep the empty default. */
-    virtual void saveState(StateWriter &) const {}
-    virtual void loadState(StateReader &) {}
+    /** Checkpointing (common/state_io.hh). */
+    virtual void visitState(StateWriter &) const = 0;
+    virtual void visitState(StateReader &) = 0;
 
     int numSubcores() const { return n_; }
 
@@ -57,30 +57,33 @@ class SubcoreAssigner
     int n_;
 };
 
-class RoundRobinAssigner : public SubcoreAssigner
+/** A policy driven by the assignment counter W alone. */
+class CountingAssigner : public SubcoreAssigner
 {
   public:
     using SubcoreAssigner::SubcoreAssigner;
-    int nextSubcore() override;
     void reset() override { w_ = 0; }
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void visitState(StateWriter &w) const override { visit(*this, w); }
+    void visitState(StateReader &r) override { visit(*this, r); }
 
-  private:
+  protected:
+    template <class Self, class V> static void visit(Self &self, V &v);
+
     std::uint64_t w_ = 0;
 };
 
-class SrrAssigner : public SubcoreAssigner
+class RoundRobinAssigner : public CountingAssigner
 {
   public:
-    using SubcoreAssigner::SubcoreAssigner;
+    using CountingAssigner::CountingAssigner;
     int nextSubcore() override;
-    void reset() override { w_ = 0; }
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+};
 
-  private:
-    std::uint64_t w_ = 0;
+class SrrAssigner : public CountingAssigner
+{
+  public:
+    using CountingAssigner::CountingAssigner;
+    int nextSubcore() override;
 };
 
 class ShuffleAssigner : public SubcoreAssigner
@@ -89,10 +92,12 @@ class ShuffleAssigner : public SubcoreAssigner
     ShuffleAssigner(int numSubcores, std::uint64_t seed);
     int nextSubcore() override;
     void reset() override;
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void visitState(StateWriter &w) const override { visit(*this, w); }
+    void visitState(StateReader &r) override { visit(*this, r); }
 
   private:
+    /** A load refuses a permutation that is not one of 0..n-1. */
+    template <class Self, class V> static void visit(Self &self, V &v);
     void refill();
 
     std::uint64_t seed_;
@@ -101,7 +106,7 @@ class ShuffleAssigner : public SubcoreAssigner
     std::size_t pos_ = 0;
 };
 
-class HashTableAssigner : public SubcoreAssigner
+class HashTableAssigner : public CountingAssigner
 {
   public:
     /**
@@ -112,9 +117,8 @@ class HashTableAssigner : public SubcoreAssigner
     HashTableAssigner(int numSubcores, int entries);
 
     int nextSubcore() override;
-    void reset() override { w_ = 0; }
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void visitState(StateWriter &w) const override { visit(*this, w); }
+    void visitState(StateReader &r) override { visit(*this, r); }
 
     /** Load the SRR pattern (repeats every 16 warps; 4 entries). */
     void programSrr();
@@ -139,8 +143,9 @@ class HashTableAssigner : public SubcoreAssigner
     static std::uint8_t encodeEntry(const int subcores[4]);
 
   private:
+    template <class Self, class V> static void visit(Self &self, V &v);
+
     std::vector<std::uint8_t> table_;
-    std::uint64_t w_ = 0;
 };
 
 /**

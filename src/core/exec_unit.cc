@@ -36,18 +36,15 @@ PipeSet::reset()
         pipe.reset();
 }
 
+template <class Self, class V>
 void
-PipeSet::saveState(StateWriter &w) const
+PipeSet::visitState(Self &self, V &v)
 {
-    for (const ExecPipe &pipe : pipes_)
-        w.u64("pipe.busyUntil", pipe.busyUntil());
+    for (auto &pipe : self.pipes_)
+        v.field("pipe.busyUntil", pipe.busyUntil_);
 }
 
-void
-PipeSet::loadState(StateReader &r)
-{
-    for (ExecPipe &pipe : pipes_)
-        pipe.setBusyUntil(r.u64("pipe.busyUntil"));
-}
+template void PipeSet::visitState(const PipeSet &, StateWriter &);
+template void PipeSet::visitState(PipeSet &, StateReader &);
 
 } // namespace scsim

@@ -19,9 +19,6 @@
 
 namespace scsim {
 
-class StateReader;
-class StateWriter;
-
 class ExecPipe
 {
   public:
@@ -41,10 +38,9 @@ class ExecPipe
 
     void reset() { busyUntil_ = 0; }
 
-    Cycle busyUntil() const { return busyUntil_; }
-    void setBusyUntil(Cycle c) { busyUntil_ = c; }
-
   private:
+    friend class PipeSet;   // snapshots busyUntil_
+
     UnitKind kind_;
     int initiation_;
     int latency_;
@@ -64,9 +60,9 @@ class PipeSet
 
     void reset();
 
-    /** Checkpointing: only busyUntil_ is dynamic; shape is config. */
-    void saveState(StateWriter &w) const;
-    void loadState(StateReader &r);
+    /** Checkpointing (common/state_io.hh): only busyUntil_ is dynamic;
+     *  the shape is config. */
+    template <class Self, class V> static void visitState(Self &self, V &v);
 
   private:
     std::vector<ExecPipe> pipes_;

@@ -584,74 +584,67 @@ IssueCluster::reset()
     issueStart_ = 0;
 }
 
+template <class Self, class V>
 void
-IssueCluster::saveState(StateWriter &w) const
+IssueCluster::visitState(Self &self, V &v)
 {
     // candidates_ is per-cycle scratch (cleared before every use) and
     // deliberately not part of the snapshot; nor are the sleep state (a
     // restored cluster starts awake) and the rotation starts (derived
     // from the cycle).
-    arbiter_.saveState(w);
-    collector_.saveState(w);
-    pipes_.saveState(w);
-    for (const auto &sched : scheds_)
-        sched->saveState(w);
-    for (const SchedTable &table : tables_) {
-        w.u64("ic.warps", table.slots.size());
-        for (WarpSlot slot : table.slots)
-            w.i64("ic.slot", slot);
+    const int maxWarps = self.cfg_.maxWarpsPerSm;
+    RegFileArbiter::visitState(self.arbiter_, v, self.collector_.size(),
+                               maxWarps);
+    OperandCollector::visitState(self.collector_, v, maxWarps);
+    PipeSet::visitState(self.pipes_, v);
+    for (auto &sched : self.scheds_)
+        sched->visitState(v);
+    // Slots index the SM's warp table and shift into the masks.
+    for (auto &table : self.tables_)
+        v.list("ic.warps", table.slots, [&](auto &slot) {
+            v.field("ic.slot", slot, below(maxWarps));
+        });
+    for (auto &table : self.tables_)
+        v.field("ic.age", table.nextAge);
+    // A bank queues at most one read per operand of each collector unit.
+    for (auto &qlen : self.qlenRing_)
+        v.field("ic.qlen", qlen, inRange(0, 3 * self.collector_.size()));
+    v.field("ic.head", self.head_, below(self.ringDepth_));
+    if constexpr (V::kReads) {
+        // A granted read fills operand slots its collector unit still
+        // waits on, and no two reads fill the same slot.
+        std::vector<std::uint32_t> queued(
+            static_cast<std::size_t>(self.collector_.size()), 0);
+        for (int b = 0; b < self.arbiter_.numBanks(); ++b) {
+            const auto &q = self.arbiter_.readQueue(b);
+            for (std::size_t i = 0; i < q.size(); ++i) {
+                std::uint32_t &mask =
+                    queued[static_cast<std::size_t>(q[i].cu)];
+                const CollectorUnit &cu = self.collector_.unit(q[i].cu);
+                if (!cu.busy || (mask & q[i].operandMask)
+                    || (cu.pendingOperands & q[i].operandMask)
+                           != q[i].operandMask)
+                    scsim_throw(CacheError,
+                                "snapshot: register read for operands "
+                                "collector unit %d does not wait on",
+                                q[i].cu);
+                mask |= q[i].operandMask;
+            }
+        }
+        for (SchedTable &table : self.tables_) {
+            table.bound = 0;
+            for (WarpSlot slot : table.slots)
+                table.bound |= slotBit(slot);
+        }
+        // A policy that never reads the ring keeps it zero, whatever
+        // an older snapshot recorded there.
+        if (!self.readsQueues_)
+            std::fill(self.qlenRing_.begin(), self.qlenRing_.end(), 0);
+        self.asleep_ = false;
     }
-    for (const SchedTable &table : tables_)
-        w.u64("ic.age", table.nextAge);
-    for (int qlen : qlenRing_)
-        w.i64("ic.qlen", qlen);
-    w.u64("ic.head", head_);
 }
 
-void
-IssueCluster::loadState(StateReader &r)
-{
-    arbiter_.loadState(r, collector_.size(), cfg_.maxWarpsPerSm);
-    collector_.loadState(r, cfg_.maxWarpsPerSm);
-    pipes_.loadState(r);
-    for (auto &sched : scheds_)
-        sched->loadState(r);
-    // Slots index the SM's warp table and shift into the masks, so a
-    // damaged one must be refused here, not used.
-    std::uint64_t seen = 0;
-    for (SchedTable &table : tables_) {
-        table.slots.clear();
-        table.bound = 0;
-        std::uint64_t n = r.u64("ic.warps");
-        for (std::uint64_t i = 0; i < n; ++i) {
-            std::int64_t slot = r.i64("ic.slot");
-            if (slot < 0 || slot >= cfg_.maxWarpsPerSm)
-                scsim_throw(CacheError,
-                            "snapshot: bound warp slot %lld out of range",
-                            static_cast<long long>(slot));
-            auto bit = slotBit(static_cast<WarpSlot>(slot));
-            if (seen & bit)
-                scsim_throw(CacheError,
-                            "snapshot: warp slot %lld bound twice",
-                            static_cast<long long>(slot));
-            seen |= bit;
-            table.slots.push_back(static_cast<WarpSlot>(slot));
-            table.bound |= bit;
-        }
-    }
-    for (SchedTable &table : tables_)
-        table.nextAge = static_cast<std::uint32_t>(r.u64("ic.age"));
-    // A policy that never reads the ring keeps it zero, whatever an
-    // older snapshot recorded there.
-    for (int &qlen : qlenRing_) {
-        std::int64_t len = r.i64("ic.qlen");
-        qlen = readsQueues_ ? static_cast<int>(len) : 0;
-    }
-    head_ = r.u64("ic.head");
-    if (head_ >= ringDepth_)
-        scsim_throw(CacheError, "snapshot: ring head %zu out of range",
-                    head_);
-    asleep_ = false;
-}
+template void IssueCluster::visitState(const IssueCluster &, StateWriter &);
+template void IssueCluster::visitState(IssueCluster &, StateReader &);
 
 } // namespace scsim

@@ -42,8 +42,6 @@
 namespace scsim {
 
 class SmCore;
-class StateReader;
-class StateWriter;
 
 class IssueCluster
 {
@@ -108,6 +106,16 @@ class IssueCluster
      *  reference for them. */
     bool hasImmediateWork(const SmCore &sm) const;
 
+    /**
+     * Reference ready-to-issue test for one warp's next instruction,
+     * from WarpContext alone (the audit, hasImmediateWork and the
+     * snapshot load checks use it; the issue scans use the masks).
+     * The collector-free test is hoisted out: within one candidate scan
+     * no CU is allocated, so callers evaluate collector_.hasFree() once
+     * instead of per warp.
+     */
+    bool candidateReadyWith(const WarpContext &warp, bool cuFree) const;
+
     /** Sanitizer builds: check this cluster's bound masks against its
      *  lists, every mask bit of its warps against WarpContext, and the
      *  collector's ready mask and free count and the arbiter's pending
@@ -117,9 +125,10 @@ class IssueCluster
 
     void reset();
 
-    /** Checkpointing: tables, arbiter/collector/pipes, queue ring. */
-    void saveState(StateWriter &w) const;
-    void loadState(StateReader &r);
+    /** Checkpointing (common/state_io.hh): arbiter, collector, pipes,
+     *  policies, tables and the queue ring.  A load rebuilds the bound
+     *  masks and wakes the cluster; SmCore checks the bindings. */
+    template <class Self, class V> static void visitState(Self &self, V &v);
 
   private:
     struct SchedTable;
@@ -133,15 +142,6 @@ class IssueCluster
     void fallAsleep(const SmCore &sm);
     /** One cycle of a sleeping cluster: the frozen cycle's effects. */
     void sleepTick(SmCore &sm);
-
-    /**
-     * Reference ready-to-issue test for one warp's next instruction,
-     * from WarpContext alone (the audit and hasImmediateWork use it;
-     * the issue scans use the masks).  The collector-free test is
-     * hoisted out: within one candidate scan no CU is allocated, so
-     * callers evaluate collector_.hasFree() once instead of per warp.
-     */
-    bool candidateReadyWith(const WarpContext &warp, bool cuFree) const;
 
     /** Union of the scheduler tables' bound masks. */
     std::uint64_t boundAll() const;

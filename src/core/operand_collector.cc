@@ -116,51 +116,43 @@ OperandCollector::reset()
     readyMask_ = 0;
 }
 
+template <class Self, class V>
 void
-OperandCollector::saveState(StateWriter &w) const
+OperandCollector::visitState(Self &self, V &v, int maxWarps)
 {
-    for (const CollectorUnit &cu : cus_) {
-        w.b("cu.busy", cu.busy);
-        w.i64("cu.warp", cu.warp);
-        w.u64("cu.pending", cu.pendingOperands);
-        w.u64("cu.alloc", cu.allocCycle);
-        saveInstructionState(w, cu.inst);
+    for (auto &cu : self.cus_) {
+        v.field("cu.busy", cu.busy);
+        // A busy CU's warp indexes the SM's warp table at dispatch.
+        v.field("cu.warp", cu.warp,
+                cu.busy ? below(maxWarps) : inRange(kNoWarp, kNoWarp));
+        // One pending bit per source operand slot.
+        v.field("cu.pending", cu.pendingOperands, below(0b1000));
+        v.field("cu.alloc", cu.allocCycle);
+        visitInstructionState(cu.inst, v);
+    }
+    if constexpr (V::kReads) {
+        self.freeCount_ = 0;
+        self.readyMask_ = 0;
+        for (std::size_t i = 0; i < self.cus_.size(); ++i) {
+            const CollectorUnit &cu = self.cus_[i];
+            // An idle CU's operands are never granted again, so
+            // pending bits there are damage, not state.
+            if (!cu.busy && cu.pendingOperands != 0)
+                scsim_throw(CacheError,
+                            "snapshot: idle collector unit waits on "
+                            "operands %u",
+                            cu.pendingOperands);
+            if (!cu.busy)
+                ++self.freeCount_;
+            else
+                self.markReadyIfDone(static_cast<int>(i));
+        }
     }
 }
 
-void
-OperandCollector::loadState(StateReader &r, int maxWarps)
-{
-    freeCount_ = 0;
-    readyMask_ = 0;
-    for (std::size_t i = 0; i < cus_.size(); ++i) {
-        CollectorUnit &cu = cus_[i];
-        cu.busy = r.b("cu.busy");
-        // A busy CU's warp indexes the SM's warp table at dispatch.
-        std::int64_t warp = r.i64("cu.warp");
-        if (cu.busy ? warp < 0 || warp >= maxWarps : warp != kNoWarp)
-            scsim_throw(CacheError,
-                        "snapshot: %s collector unit holds warp %lld "
-                        "out of range",
-                        cu.busy ? "busy" : "idle",
-                        static_cast<long long>(warp));
-        cu.warp = static_cast<WarpSlot>(warp);
-        cu.pendingOperands =
-            static_cast<std::uint32_t>(r.u64("cu.pending"));
-        cu.allocCycle = r.u64("cu.alloc");
-        cu.inst = loadInstructionState(r);
-        // An idle CU's operands are never granted again, so pending
-        // bits there are damage, not state.
-        if (!cu.busy && cu.pendingOperands != 0)
-            scsim_throw(CacheError,
-                        "snapshot: idle collector unit waits on "
-                        "operands %u",
-                        cu.pendingOperands);
-        if (!cu.busy)
-            ++freeCount_;
-        else
-            markReadyIfDone(static_cast<int>(i));
-    }
-}
+template void OperandCollector::visitState(const OperandCollector &,
+                                           StateWriter &, int);
+template void OperandCollector::visitState(OperandCollector &,
+                                           StateReader &, int);
 
 } // namespace scsim

@@ -76,13 +76,14 @@ class OperandCollector
     void reset();
 
     /**
-     * Checkpointing: every CU, including its staged instruction.  A
-     * load refuses (CacheError) a busy CU whose warp is outside
-     * [0, @p maxWarps), and an idle CU bound to any warp or waiting
-     * on operands.
+     * Checkpointing (common/state_io.hh): every CU, including its
+     * staged instruction.  A load refuses (CacheError) a busy CU whose
+     * warp is outside [0, @p maxWarps), and an idle CU bound to any
+     * warp or waiting on operands; it rebuilds the free count and the
+     * ready mask.
      */
-    void saveState(StateWriter &w) const;
-    void loadState(StateReader &r, int maxWarps);
+    template <class Self, class V>
+    static void visitState(Self &self, V &v, int maxWarps);
 
   private:
     void markReadyIfDone(int cu);

@@ -48,77 +48,39 @@ RegFileArbiter::reset()
     pendingOps_ = 0;
 }
 
+template <class Self, class V>
 void
-RegFileArbiter::saveState(StateWriter &w) const
+RegFileArbiter::visitState(Self &self, V &v, int numCus, int maxWarps)
 {
-    for (const auto &q : readQ_) {
-        w.u64("rf.readq", q.size());
-        for (std::size_t i = 0; i < q.size(); ++i) {
-            w.i64("rf.read.cu", q[i].cu);
-            w.u64("rf.read.mask", q[i].operandMask);
-        }
-    }
-    for (const auto &q : writeQ_) {
-        w.u64("rf.writeq", q.size());
-        for (std::size_t i = 0; i < q.size(); ++i) {
-            w.i64("rf.write.warp", q[i].warp);
-            w.i64("rf.write.reg", q[i].reg);
-        }
-    }
-    w.u64("rf.pendingOps", pendingOps_);
-}
-
-void
-RegFileArbiter::loadState(StateReader &r, int numCus, int maxWarps)
-{
-    for (auto &q : readQ_) {
-        q.clear();
-        std::uint64_t n = r.u64("rf.readq");
-        for (std::uint64_t i = 0; i < n; ++i) {
-            ReadRequest req;
-            std::int64_t cu = r.i64("rf.read.cu");
-            if (cu < 0 || cu >= numCus)
-                scsim_throw(CacheError,
-                            "snapshot: register read for collector unit "
-                            "%lld out of range",
-                            static_cast<long long>(cu));
-            req.cu = static_cast<int>(cu);
+    for (auto &q : self.readQ_)
+        v.list("rf.readq", q, [&](auto &req) {
+            v.field("rf.read.cu", req.cu, below(numCus));
             // A read fills one to three operand slots; an empty mask
             // would never ready its CU.
-            std::uint64_t mask = r.u64("rf.read.mask");
-            if (mask == 0 || mask > 0b111)
-                scsim_throw(CacheError,
-                            "snapshot: register read operand mask %llu "
-                            "out of range",
-                            static_cast<unsigned long long>(mask));
-            req.operandMask = static_cast<std::uint32_t>(mask);
-            q.push_back(req);
-        }
-    }
-    for (auto &q : writeQ_) {
-        q.clear();
-        std::uint64_t n = r.u64("rf.writeq");
-        for (std::uint64_t i = 0; i < n; ++i) {
-            WriteRequest req;
-            std::int64_t warp = r.i64("rf.write.warp");
-            if (warp < 0 || warp >= maxWarps)
-                scsim_throw(CacheError,
-                            "snapshot: register write for warp %lld out "
-                            "of range",
-                            static_cast<long long>(warp));
-            req.warp = static_cast<WarpSlot>(warp);
-            req.reg = static_cast<RegIndex>(r.i64("rf.write.reg"));
-            q.push_back(req);
-        }
-    }
+            v.field("rf.read.mask", req.operandMask,
+                    inRange(1, 0b111, "operand mask"));
+        });
+    for (auto &q : self.writeQ_)
+        v.list("rf.writeq", q, [&](auto &req) {
+            v.field("rf.write.warp", req.warp, below(maxWarps));
+            // The granted write retires in the warp's scoreboard.
+            v.field("rf.write.reg", req.reg, below(kMaxRegs));
+        });
+    v.field("rf.pendingOps", self.pendingOps_);
     // The counter is redundant with the queues; a value that disagrees
     // would make anyPending() lie and wrap on the first grant.
-    pendingOps_ = r.u64("rf.pendingOps");
-    if (pendingOps_ != queuedOps())
-        scsim_throw(CacheError,
-                    "snapshot: rf.pendingOps %llu but %llu requests queued",
-                    static_cast<unsigned long long>(pendingOps_),
-                    static_cast<unsigned long long>(queuedOps()));
+    if constexpr (V::kReads)
+        if (self.pendingOps_ != self.queuedOps())
+            scsim_throw(CacheError,
+                        "snapshot: rf.pendingOps %llu but %llu requests "
+                        "queued",
+                        static_cast<unsigned long long>(self.pendingOps_),
+                        static_cast<unsigned long long>(self.queuedOps()));
 }
+
+template void RegFileArbiter::visitState(const RegFileArbiter &,
+                                         StateWriter &, int, int);
+template void RegFileArbiter::visitState(RegFileArbiter &, StateReader &,
+                                         int, int);
 
 } // namespace scsim

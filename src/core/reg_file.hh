@@ -20,9 +20,6 @@
 
 namespace scsim {
 
-class StateReader;
-class StateWriter;
-
 /** A pending operand read for collector unit @c cu. */
 struct ReadRequest
 {
@@ -46,6 +43,8 @@ template <typename T>
 class FifoRing
 {
   public:
+    using value_type = T;
+
     bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }
 
@@ -182,6 +181,18 @@ class RegFileArbiter
             readQ_[static_cast<std::size_t>(bank)].size());
     }
 
+    /** Bank @p bank's queued reads and writes, oldest first. */
+    const FifoRing<ReadRequest> &
+    readQueue(int bank) const
+    {
+        return readQ_[static_cast<std::size_t>(bank)];
+    }
+    const FifoRing<WriteRequest> &
+    writeQueue(int bank) const
+    {
+        return writeQ_[static_cast<std::size_t>(bank)];
+    }
+
     bool anyPending() const { return pendingOps_ != 0; }
     /** Queued reads and writes over all banks (kept as a counter). */
     std::uint64_t pendingOps() const { return pendingOps_; }
@@ -197,14 +208,14 @@ class RegFileArbiter
 
     void reset();
 
-    /** Checkpointing: per-bank queues in FIFO order. */
-    void saveState(StateWriter &w) const;
-    /** Refuses (CacheError) a queued read for a CU outside
-     *  [0, @p numCus) or with an operand mask that is empty or names a
-     *  slot past the third, a write for a warp outside [0,
-     *  @p maxWarps), and an rf.pendingOps that is not the number of
-     *  queued requests. */
-    void loadState(StateReader &r, int numCus, int maxWarps);
+    /** Checkpointing (common/state_io.hh): per-bank queues in FIFO
+     *  order.  A load refuses (CacheError) a queued read for a CU
+     *  outside [0, @p numCus) or with an operand mask that is empty or
+     *  names a slot past the third, a write for a warp outside [0,
+     *  @p maxWarps) or a register past kMaxRegs, and an rf.pendingOps
+     *  that is not the number of queued requests. */
+    template <class Self, class V>
+    static void visitState(Self &self, V &v, int numCus, int maxWarps);
 
   private:
     int numBanks_;

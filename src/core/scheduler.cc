@@ -62,17 +62,15 @@ LrrScheduler::notifyIssued(WarpSlot slot, Cycle)
     lastIssued_ = slot;
 }
 
+template <class Self, class V>
 void
-LrrScheduler::saveState(StateWriter &w) const
+LrrScheduler::visit(Self &self, V &v)
 {
-    w.i64("lrr.lastIssued", lastIssued_);
+    v.field("lrr.lastIssued", self.lastIssued_, inRange(kNoWarp, 63));
 }
 
-void
-LrrScheduler::loadState(StateReader &r)
-{
-    lastIssued_ = static_cast<WarpSlot>(r.i64("lrr.lastIssued"));
-}
+template void LrrScheduler::visit(const LrrScheduler &, StateWriter &);
+template void LrrScheduler::visit(LrrScheduler &, StateReader &);
 
 WarpSlot
 GtoScheduler::pick(const std::vector<WarpSlot> &ready,
@@ -121,22 +119,16 @@ GtoScheduler::notifyIssued(WarpSlot slot, Cycle)
     greedyWarp_ = slot;
 }
 
+template <class Self, class V>
 void
-GtoScheduler::saveState(StateWriter &w) const
-{
-    w.i64("gto.greedyWarp", greedyWarp_);
-}
-
-void
-GtoScheduler::loadState(StateReader &r)
+GtoScheduler::visit(Self &self, V &v)
 {
     // The greedy warp shifts into a slot mask in pickMask().
-    std::int64_t slot = r.i64("gto.greedyWarp");
-    if (slot < kNoWarp || slot >= 64)
-        scsim_throw(CacheError, "snapshot: greedy warp %lld out of range",
-                    static_cast<long long>(slot));
-    greedyWarp_ = static_cast<WarpSlot>(slot);
+    v.field("gto.greedyWarp", self.greedyWarp_, inRange(kNoWarp, 63));
 }
+
+template void GtoScheduler::visit(const GtoScheduler &, StateWriter &);
+template void GtoScheduler::visit(GtoScheduler &, StateReader &);
 
 WarpSlot
 RbaScheduler::pick(const std::vector<WarpSlot> &ready,

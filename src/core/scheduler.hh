@@ -75,9 +75,10 @@ class WarpScheduler
 
     virtual void reset() {}
 
-    /** Checkpointing; stateless policies keep the empty default. */
-    virtual void saveState(StateWriter &) const {}
-    virtual void loadState(StateReader &) {}
+    /** Checkpointing (common/state_io.hh); stateless policies keep
+     *  the empty default. */
+    virtual void visitState(StateWriter &) const {}
+    virtual void visitState(StateReader &) {}
 };
 
 /** 5-bit clamped RBA score of @p inst for warp @p slot (eq. in IV-A). */
@@ -91,10 +92,12 @@ class LrrScheduler : public WarpScheduler
                   const PickContext &ctx) override;
     void notifyIssued(WarpSlot slot, Cycle now) override;
     void reset() override { lastIssued_ = kNoWarp; }
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void visitState(StateWriter &w) const override { visit(*this, w); }
+    void visitState(StateReader &r) override { visit(*this, r); }
 
   private:
+    template <class Self, class V> static void visit(Self &self, V &v);
+
     WarpSlot lastIssued_ = kNoWarp;
 };
 
@@ -107,10 +110,12 @@ class GtoScheduler : public WarpScheduler
     WarpSlot pickMask(std::uint64_t cand, const PickContext &ctx) override;
     void notifyIssued(WarpSlot slot, Cycle now) override;
     void reset() override { greedyWarp_ = kNoWarp; }
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void visitState(StateWriter &w) const override { visit(*this, w); }
+    void visitState(StateReader &r) override { visit(*this, r); }
 
   private:
+    template <class Self, class V> static void visit(Self &self, V &v);
+
     WarpSlot greedyWarp_ = kNoWarp;
 };
 

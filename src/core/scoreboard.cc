@@ -39,32 +39,24 @@ Scoreboard::reset()
     count_ = 0;
 }
 
+template <class Self, class V>
 void
-Scoreboard::saveState(StateWriter &w) const
+Scoreboard::visitState(Self &self, V &v)
 {
-    for (int word = 0; word < kMaxRegs / 64; ++word) {
+    for (std::size_t word = 0; word < kMaxRegs / 64; ++word) {
         std::uint64_t bits = 0;
-        for (int b = 0; b < 64; ++b)
-            if (pending_[static_cast<std::size_t>(word * 64 + b)])
-                bits |= std::uint64_t(1) << b;
-        w.u64("sb.word", bits);
+        for (std::size_t b = 0; b < 64; ++b)
+            bits |= std::uint64_t{ self.pending_.test(word * 64 + b) } << b;
+        v.field("sb.word", bits);
+        if constexpr (V::kReads)
+            for (std::size_t b = 0; b < 64; ++b)
+                self.pending_.set(word * 64 + b, (bits >> b) & 1);
     }
+    if constexpr (V::kReads)
+        self.count_ = static_cast<int>(self.pending_.count());
 }
 
-void
-Scoreboard::loadState(StateReader &r)
-{
-    pending_.reset();
-    count_ = 0;
-    for (int word = 0; word < kMaxRegs / 64; ++word) {
-        std::uint64_t bits = r.u64("sb.word");
-        for (int b = 0; b < 64; ++b) {
-            if (bits & (std::uint64_t(1) << b)) {
-                pending_.set(static_cast<std::size_t>(word * 64 + b));
-                ++count_;
-            }
-        }
-    }
-}
+template void Scoreboard::visitState(const Scoreboard &, StateWriter &);
+template void Scoreboard::visitState(Scoreboard &, StateReader &);
 
 } // namespace scsim

@@ -16,9 +16,6 @@
 
 namespace scsim {
 
-class StateReader;
-class StateWriter;
-
 class Scoreboard
 {
   public:
@@ -50,12 +47,11 @@ class Scoreboard
 
     void reset();
 
-    /** Checkpointing: the pending mask as four u64 words. */
-    void saveState(StateWriter &w) const;
-    void loadState(StateReader &r);
+    /** Checkpointing (common/state_io.hh): the pending mask as four
+     *  u64 words, lowest register first. */
+    template <class Self, class V> static void visitState(Self &self, V &v);
 
   private:
-    static constexpr int kMaxRegs = 256;
     std::bitset<kMaxRegs> pending_;
     int count_ = 0;
 };

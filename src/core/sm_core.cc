@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <bitset>
+#include <functional>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -483,213 +485,218 @@ SmCore::reset()
     hadWork_ = false;
 }
 
-namespace {
-
-int
-kernelIndexOf(const Application &app, const KernelDesc *kernel)
-{
-    if (!kernel)
-        return -1;
-    for (std::size_t i = 0; i < app.kernels.size(); ++i)
-        if (&app.kernels[i] == kernel)
-            return static_cast<int>(i);
-    scsim_panic("block references a kernel outside the application");
-}
-
-const KernelDesc *
-kernelAt(const Application &app, std::int64_t idx)
-{
-    if (idx < 0)
-        return nullptr;
-    if (idx >= static_cast<std::int64_t>(app.kernels.size()))
-        scsim_throw(CacheError,
-                    "snapshot: kernel index %lld out of range (%zu "
-                    "kernels)",
-                    static_cast<long long>(idx), app.kernels.size());
-    return &app.kernels[static_cast<std::size_t>(idx)];
-}
-
-} // namespace
-
+template <class Self, class V>
 void
-SmCore::saveState(StateWriter &w, const Application &app) const
+SmCore::visitState(Self &self, V &v, const Application &app, Cycle now)
 {
     // l1PortsLeft_ is reset at the top of every cycle() and rfTrace_
     // is derived from the config; neither is snapshotted.  Of the
     // masks only `blocked` is state (as each warp's sbBlocked field);
     // the others are derived and rebuilt on load.
-    for (const WarpContext &warp : warps_) {
-        auto bit = slotBit(static_cast<WarpSlot>(&warp - warps_.data()));
-        w.i64("warp.slot", warp.slot);
-        w.i64("warp.blockSeq", warp.blockSeq);
-        w.i64("warp.inBlock", warp.warpInBlock);
-        w.u64("warp.gwid", warp.gwid);
-        w.i64("warp.cluster", warp.cluster);
-        w.i64("warp.sched", warp.schedInCluster);
-        w.u64("warp.ageRank", warp.ageRank);
-        w.u64("warp.regBytes", warp.regBytes);
-        w.b("warp.active", warp.active);
-        w.b("warp.exited", warp.exited);
-        w.b("warp.atBarrier", warp.atBarrier);
-        w.u64("warp.pc", warp.pc);
-        w.u64("warp.memIter", warp.memIter);
-        w.u64("warp.lastIssue", warp.lastIssue);
-        w.b("warp.sbBlocked", (masks_.blocked & bit) != 0);
-        warp.scoreboard.saveState(w);
+    const int maxWarps = self.cfg_.maxWarpsPerSm;
+    const FieldRange slotIndex = below(maxWarps);
+    for (auto &warp : self.warps_) {
+        auto bit = slotBit(
+            static_cast<WarpSlot>(&warp - self.warps_.data()));
+        v.field("warp.slot", warp.slot, inRange(kNoWarp, maxWarps - 1));
+        v.field("warp.blockSeq", warp.blockSeq,
+                inRange(-1, static_cast<std::int64_t>(self.blocks_.size())
+                                - 1));
+        v.field("warp.inBlock", warp.warpInBlock);
+        v.field("warp.gwid", warp.gwid);
+        // Later used as indices: -1 marks an unbound (free) slot.
+        v.field("warp.cluster", warp.cluster,
+                inRange(-1, self.numClusters() - 1));
+        v.field("warp.sched", warp.schedInCluster,
+                below(self.cfg_.schedulersPerCluster()));
+        v.field("warp.ageRank", warp.ageRank);
+        v.field("warp.regBytes", warp.regBytes);
+        v.field("warp.active", warp.active);
+        v.field("warp.exited", warp.exited);
+        v.field("warp.atBarrier", warp.atBarrier);
+        v.field("warp.pc", warp.pc);
+        v.field("warp.memIter", warp.memIter);
+        v.field("warp.lastIssue", warp.lastIssue);
+        bool blocked = (self.masks_.blocked & bit) != 0;
+        v.field("warp.sbBlocked", blocked);
+        if constexpr (V::kReads)
+            self.masks_.blocked = blocked ? self.masks_.blocked | bit
+                                          : self.masks_.blocked & ~bit;
+        Scoreboard::visitState(warp.scoreboard, v);
     }
-    w.u64("sm.freeSlots", freeSlots_.size());
-    for (WarpSlot slot : freeSlots_)
-        w.i64("sm.freeSlot", slot);
-    for (const BlockState &block : blocks_) {
-        w.b("blk.live", block.live);
-        w.i64("blk.id", block.blockId);
-        w.i64("blk.kernel", kernelIndexOf(app, block.kernel));
-        w.i64("blk.warpsTotal", block.warpsTotal);
-        w.i64("blk.warpsExited", block.warpsExited);
-        w.i64("blk.barrier", block.barrierArrived);
-        w.u64("blk.slots", block.slots.size());
-        for (WarpSlot slot : block.slots)
-            w.i64("blk.slot", slot);
+    v.list("sm.freeSlots", self.freeSlots_,
+           [&](auto &slot) { v.field("sm.freeSlot", slot, slotIndex); });
+    for (auto &block : self.blocks_) {
+        v.field("blk.live", block.live);
+        v.field("blk.id", block.blockId);
+        v.element("blk.kernel", block.kernel, app.kernels, true);
+        v.field("blk.warpsTotal", block.warpsTotal);
+        v.field("blk.warpsExited", block.warpsExited);
+        v.field("blk.barrier", block.barrierArrived);
+        v.list("blk.slots", block.slots,
+               [&](auto &slot) { v.field("blk.slot", slot, slotIndex); });
     }
-    for (const auto &cluster : clusters_)
-        cluster->saveState(w);
-    assigner_->saveState(w);
-    for (std::uint32_t used : regBytesUsed_)
-        w.u64("sm.regBytesUsed", used);
-    w.u64("sm.smemUsed", smemUsed_);
-    w.i64("sm.activeBlocks", activeBlocks_);
+    for (auto &cluster : self.clusters_)
+        IssueCluster::visitState(likeSelf<Self>(*cluster), v);
+    self.assigner_->visitState(v);
+    for (auto &used : self.regBytesUsed_)
+        v.field("sm.regBytesUsed", used);
+    v.field("sm.smemUsed", self.smemUsed_);
+    v.field("sm.activeBlocks", self.activeBlocks_);
     // The writeback min-heap is serialized as its backing array, so a
     // restore reproduces the exact pop order of equal-cycle events.
-    w.u64("sm.events", events_.size());
-    for (const RegWriteEvent &ev : events_) {
-        w.u64("ev.when", ev.when);
-        w.i64("ev.warp", ev.warp);
-        w.i64("ev.reg", ev.reg);
-    }
-    w.b("sm.hadWork", hadWork_);
+    v.list("sm.events", self.events_, [&](auto &ev) {
+        v.field("ev.when", ev.when);
+        v.field("ev.warp", ev.warp, slotIndex);
+        // The write retires in the warp's scoreboard.
+        v.field("ev.reg", ev.reg, below(kMaxRegs));
+    });
+    v.field("sm.hadWork", self.hadWork_);
+    if constexpr (V::kReads)
+        self.finishLoad(now);
 }
 
+template void SmCore::visitState(const SmCore &, StateWriter &,
+                                 const Application &, Cycle);
+template void SmCore::visitState(SmCore &, StateReader &,
+                                 const Application &, Cycle);
+
 void
-SmCore::loadState(StateReader &r, const Application &app)
+SmCore::finishLoad(Cycle now)
 {
-    masks_ = WarpMasks{};
-    for (WarpContext &warp : warps_) {
-        warp.slot = static_cast<WarpSlot>(r.i64("warp.slot"));
-        warp.blockSeq = static_cast<int>(r.i64("warp.blockSeq"));
-        warp.warpInBlock = static_cast<int>(r.i64("warp.inBlock"));
-        warp.gwid = r.u64("warp.gwid");
-        std::int64_t cluster = r.i64("warp.cluster");
-        std::int64_t sched = r.i64("warp.sched");
-        // Later used as indices: -1 marks an unbound (free) slot.
-        if (cluster < -1 || cluster >= numClusters() || sched < 0
-            || sched >= cfg_.schedulersPerCluster())
-            scsim_throw(CacheError,
-                        "snapshot: warp sub-core %lld/%lld out of range",
-                        static_cast<long long>(cluster),
-                        static_cast<long long>(sched));
-        warp.cluster = static_cast<int>(cluster);
-        warp.schedInCluster = static_cast<int>(sched);
-        warp.ageRank = static_cast<std::uint32_t>(r.u64("warp.ageRank"));
-        warp.regBytes =
-            static_cast<std::uint32_t>(r.u64("warp.regBytes"));
-        warp.active = r.b("warp.active");
-        warp.exited = r.b("warp.exited");
-        warp.atBarrier = r.b("warp.atBarrier");
-        warp.pc = static_cast<std::uint32_t>(r.u64("warp.pc"));
-        warp.memIter = r.u64("warp.memIter");
-        warp.lastIssue = r.u64("warp.lastIssue");
-        if (r.b("warp.sbBlocked"))
-            masks_.blocked |= slotBit(
-                static_cast<WarpSlot>(&warp - warps_.data()));
-        warp.scoreboard.loadState(r);
-        warp.prog = nullptr;   // re-resolved from the block table below
-    }
-    auto checkSlot = [&](std::int64_t slot) {
-        if (slot < 0 || slot >= static_cast<std::int64_t>(warps_.size()))
-            scsim_throw(CacheError, "snapshot: warp slot %lld out of range",
-                        static_cast<long long>(slot));
-        return static_cast<WarpSlot>(slot);
+    auto check = [](bool ok, const char *what) {
+        if (!ok)
+            scsim_throw(CacheError, "snapshot: %s", what);
     };
-    freeSlots_.clear();
-    std::uint64_t nFree = r.u64("sm.freeSlots");
-    for (std::uint64_t i = 0; i < nFree; ++i)
-        freeSlots_.push_back(checkSlot(r.i64("sm.freeSlot")));
-    for (BlockState &block : blocks_) {
-        block.live = r.b("blk.live");
-        block.blockId = static_cast<int>(r.i64("blk.id"));
-        block.kernel = kernelAt(app, r.i64("blk.kernel"));
-        block.warpsTotal = static_cast<int>(r.i64("blk.warpsTotal"));
-        block.warpsExited = static_cast<int>(r.i64("blk.warpsExited"));
-        block.barrierArrived = static_cast<int>(r.i64("blk.barrier"));
-        block.slots.clear();
-        std::uint64_t nSlots = r.u64("blk.slots");
-        for (std::uint64_t i = 0; i < nSlots; ++i)
-            block.slots.push_back(
-                static_cast<WarpSlot>(r.i64("blk.slot")));
-        if (block.live && !block.kernel)
-            scsim_throw(CacheError,
-                        "snapshot: live block without a kernel");
-    }
-    // Re-resolve warp program pointers through their blocks.
-    for (const BlockState &block : blocks_) {
+    std::uint64_t blocked = masks_.blocked;
+    masks_ = WarpMasks{};
+    masks_.blocked = blocked;
+
+    // Each slot is free or held by one live block, which holds its
+    // warps live and counts them right.
+    constexpr int kUnseen = -2, kFree = -1;
+    std::vector<int> owner(warps_.size(), kUnseen);
+    auto own = [&](WarpSlot slot, int by) {
+        check(owner[static_cast<std::size_t>(slot)] == kUnseen,
+              "warp slot listed twice");
+        owner[static_cast<std::size_t>(slot)] = by;
+    };
+    for (WarpSlot slot : freeSlots_)
+        own(slot, kFree);
+    int live = 0;
+    std::uint32_t smem = 0;
+    std::vector<std::uint32_t> regBytes(regBytesUsed_.size(), 0);
+    for (std::size_t b = 0; b < blocks_.size(); ++b) {
+        const BlockState &block = blocks_[b];
         if (!block.live)
             continue;
+        check(block.kernel, "live block without a kernel");
+        const KernelDesc &kernel = *block.kernel;
+        ++live;
+        smem += kernel.smemBytesPerBlock;
+        check(block.warpsTotal == kernel.warpsPerBlock
+                  && block.slots.size()
+                         == static_cast<std::size_t>(kernel.warpsPerBlock),
+              "block warp count differs from its kernel's");
+        int exited = 0, atBarrier = 0;
         for (WarpSlot slot : block.slots) {
-            WarpContext &warp = warps_[static_cast<std::size_t>(
-                checkSlot(slot))];
-            if (warp.warpInBlock < 0
-                || warp.warpInBlock >= block.kernel->warpsPerBlock)
-                scsim_throw(CacheError,
-                            "snapshot: warp-in-block %d out of range",
-                            warp.warpInBlock);
-            warp.prog = &block.kernel->programOf(warp.warpInBlock);
+            own(slot, static_cast<int>(b));
+            WarpContext &warp = warps_[static_cast<std::size_t>(slot)];
+            check(warp.active && warp.slot == slot
+                      && warp.blockSeq == static_cast<int>(b)
+                      && warp.cluster >= 0
+                      && warp.regBytes == kernel.regBytesPerWarp(),
+                  "block warp is not live in its slot");
+            check(warp.warpInBlock >= 0
+                      && warp.warpInBlock < kernel.warpsPerBlock,
+                  "warp-in-block out of range");
+            // Re-resolve the warp's program through its block.
+            warp.prog = &kernel.programOf(warp.warpInBlock);
+            // A warp left without an instruction would never exit.
+            check(warp.exited || warp.hasNextInst(),
+                  "live warp ran past its program");
+            exited += warp.exited;
+            atBarrier += warp.atBarrier;
+            regBytes[static_cast<std::size_t>(warp.cluster)] +=
+                warp.regBytes;
         }
+        // The last warp to exit completes the block, and the last to
+        // arrive releases the barrier.
+        check(block.warpsExited == exited && block.barrierArrived == atBarrier
+                  && atBarrier < block.warpsTotal - exited,
+              "block counts disagree with its warps");
     }
-    for (WarpSlot slot = 0; slot < cfg_.maxWarpsPerSm; ++slot)
-        refreshParked(slot);
-    // Each cluster refuses bad or repeated slots in its own tables;
-    // across clusters a slot may be bound once, to the table its warp
-    // names.
+
+    // Every register write in flight (held by a collector unit, due as
+    // a writeback event, or queued at a bank) retires against its own
+    // pending scoreboard bit of a live warp, and every pending bit has
+    // its write in flight.
+    std::vector<std::bitset<kMaxRegs>> inFlight(warps_.size());
+    auto claim = [&](WarpSlot slot, RegIndex reg) {
+        const WarpContext &warp = warps_[static_cast<std::size_t>(slot)];
+        auto &claimed = inFlight[static_cast<std::size_t>(slot)];
+        check(warp.cluster >= 0 && warp.scoreboard.pending(reg)
+                  && !claimed.test(static_cast<std::size_t>(reg)),
+              "register write in flight without its scoreboard entry");
+        claimed.set(static_cast<std::size_t>(reg));
+    };
+    // A live warp is bound to exactly the table it names.
     std::uint64_t bound = 0;
-    for (auto &cluster : clusters_) {
-        cluster->loadState(r);
+    for (const auto &cluster : clusters_) {
         for (int s = 0; s < cluster->numSchedulers(); ++s) {
-            if (bound & cluster->boundMask(s))
-                scsim_throw(CacheError,
-                            "snapshot: a warp slot is bound twice");
-            bound |= cluster->boundMask(s);
             for (WarpSlot slot : cluster->warpsOf(s)) {
+                check(!(bound & slotBit(slot)), "warp slot bound twice");
+                bound |= slotBit(slot);
                 const WarpContext &warp =
                     warps_[static_cast<std::size_t>(slot)];
-                if (warp.cluster != cluster->id()
-                    || warp.schedInCluster != s)
-                    scsim_throw(CacheError,
-                                "snapshot: warp %d bound to sub-core "
-                                "%d/%d but names %d/%d",
-                                slot, cluster->id(), s, warp.cluster,
-                                warp.schedInCluster);
+                check(warp.cluster == cluster->id()
+                          && warp.schedInCluster == s,
+                      "warp bound to one sub-core but names another");
             }
         }
+        const OperandCollector &oc = cluster->collector();
+        for (int i = 0; i < oc.size(); ++i) {
+            const CollectorUnit &cu = oc.unit(i);
+            if (cu.busy && (cu.inst.dst != kNoReg || isLoad(cu.inst.op)))
+                claim(cu.warp, cu.inst.dst);
+        }
+        const RegFileArbiter &arb = cluster->arbiter();
+        for (int b = 0; b < arb.numBanks(); ++b)
+            for (std::size_t i = 0; i < arb.writeQueue(b).size(); ++i)
+                claim(arb.writeQueue(b)[i].warp, arb.writeQueue(b)[i].reg);
     }
-    assigner_->loadState(r);
-    for (std::uint32_t &used : regBytesUsed_)
-        used = static_cast<std::uint32_t>(r.u64("sm.regBytesUsed"));
-    smemUsed_ = static_cast<std::uint32_t>(r.u64("sm.smemUsed"));
-    activeBlocks_ = static_cast<int>(r.i64("sm.activeBlocks"));
-    events_.clear();
-    std::uint64_t nEvents = r.u64("sm.events");
-    for (std::uint64_t i = 0; i < nEvents; ++i) {
-        RegWriteEvent ev;
-        ev.when = r.u64("ev.when");
-        ev.warp = checkSlot(r.i64("ev.warp"));
-        if (warps_[static_cast<std::size_t>(ev.warp)].cluster < 0)
-            scsim_throw(CacheError,
-                        "snapshot: writeback for unbound warp %d",
-                        ev.warp);
-        ev.reg = static_cast<RegIndex>(r.i64("ev.reg"));
-        events_.push_back(ev);
+    for (const RegWriteEvent &ev : events_) {
+        check(ev.when >= now, "writeback event in the past");
+        claim(ev.warp, ev.reg);
     }
-    hadWork_ = r.b("sm.hadWork");
+    check(std::is_heap(events_.begin(), events_.end(),
+                       std::greater<RegWriteEvent>()),
+          "writeback events out of heap order");
+
+    for (std::size_t slot = 0; slot < warps_.size(); ++slot) {
+        const WarpContext &warp = warps_[slot];
+        auto bit = slotBit(static_cast<WarpSlot>(slot));
+        check(owner[slot] != kUnseen, "warp slot neither free nor held");
+        check(owner[slot] != kFree
+                  || (!warp.active && warp.cluster < 0),
+              "free warp slot holds a warp");
+        check(warp.cluster < 0 || (bound & bit),
+              "warp names a sub-core that does not hold it");
+        check(inFlight[slot].count()
+                  == static_cast<std::size_t>(
+                      warp.scoreboard.pendingCount()),
+              "scoreboard waits on a write that is not in flight");
+        // The hazard marker sits only on a warp its scoreboard holds.
+        check(!(masks_.blocked & bit)
+                  || (warp.schedulable()
+                      && !clusters_[static_cast<std::size_t>(warp.cluster)]
+                              ->candidateReadyWith(warp, true)),
+              "hazard marker on a warp with no hazard");
+        refreshParked(static_cast<WarpSlot>(slot));
+    }
+    check(live == activeBlocks_ && smem == smemUsed_
+              && regBytes == regBytesUsed_,
+          "SM occupancy disagrees with its blocks");
 }
 
 } // namespace scsim

@@ -23,8 +23,6 @@
 
 namespace scsim {
 
-class StateReader;
-class StateWriter;
 struct Application;
 
 class SmCore
@@ -62,13 +60,15 @@ class SmCore
     void reset();
 
     /**
-     * Checkpointing.  Kernel pointers (block table, warp programs)
-     * are serialized as indices into @p app and re-resolved on load,
-     * so a snapshot is only valid against the identical application —
-     * the surrounding frame pins the job key to enforce that.
+     * Checkpointing (common/state_io.hh) at the top of cycle @p now.
+     * Kernel pointers (block table, warp programs) are serialized as
+     * indices into @p app and re-resolved on load, so a snapshot is
+     * only valid against the identical application — the surrounding
+     * frame pins the job key to enforce that.
      */
-    void saveState(StateWriter &w, const Application &app) const;
-    void loadState(StateReader &r, const Application &app);
+    template <class Self, class V>
+    static void visitState(Self &self, V &v, const Application &app,
+                           Cycle now);
 
     // ---- callbacks used by IssueCluster -------------------------------
     WarpContext *warpTable() { return warps_.data(); }
@@ -132,6 +132,11 @@ class SmCore
     /** Sanitizer builds: recompute every mask from the scheduler lists
      *  and WarpContext and panic on any disagreement. */
     void auditMasks() const;
+    /** After a load at cycle @p now: the cross-field checks (throwing
+     *  CacheError) that keep every state the simulator asserts on
+     *  reachable, warp programs re-resolved through the block table,
+     *  and the derived masks. */
+    void finishLoad(Cycle now);
 
     const GpuConfig &cfg_;
     int smId_;

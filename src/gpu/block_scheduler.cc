@@ -66,43 +66,22 @@ BlockScheduler::reset()
     rrKernel_ = 0;
 }
 
+template <class Self, class V>
 void
-BlockScheduler::saveState(StateWriter &w, const Application &app) const
+BlockScheduler::visitState(Self &self, V &v, const Application &app)
 {
-    w.u64("bs.queues", queues_.size());
-    for (const KernelQueue &q : queues_) {
-        int idx = -1;
-        for (std::size_t i = 0; i < app.kernels.size(); ++i)
-            if (&app.kernels[i] == q.kernel)
-                idx = static_cast<int>(i);
-        scsim_assert(idx >= 0, "queued kernel not in the application");
-        w.i64("bs.kernel", idx);
-        w.i64("bs.nextBlock", q.nextBlock);
-    }
-    w.u64("bs.rrSm", rrSm_);
-    w.u64("bs.rrKernel", rrKernel_);
+    v.list("bs.queues", self.queues_, [&](auto &q) {
+        v.element("bs.kernel", q.kernel, app.kernels, false);
+        v.field("bs.nextBlock", q.nextBlock,
+                inRange(0, q.kernel->numBlocks));
+    });
+    v.field("bs.rrSm", self.rrSm_);
+    v.field("bs.rrKernel", self.rrKernel_);
 }
 
-void
-BlockScheduler::loadState(StateReader &r, const Application &app)
-{
-    queues_.clear();
-    std::uint64_t n = r.u64("bs.queues");
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::int64_t idx = r.i64("bs.kernel");
-        if (idx < 0 || idx >= static_cast<std::int64_t>(
-                           app.kernels.size()))
-            scsim_throw(CacheError,
-                        "snapshot: queued kernel index %lld out of "
-                        "range",
-                        static_cast<long long>(idx));
-        KernelQueue q;
-        q.kernel = &app.kernels[static_cast<std::size_t>(idx)];
-        q.nextBlock = static_cast<int>(r.i64("bs.nextBlock"));
-        queues_.push_back(q);
-    }
-    rrSm_ = r.u64("bs.rrSm");
-    rrKernel_ = r.u64("bs.rrKernel");
-}
+template void BlockScheduler::visitState(const BlockScheduler &,
+                                         StateWriter &, const Application &);
+template void BlockScheduler::visitState(BlockScheduler &, StateReader &,
+                                         const Application &);
 
 } // namespace scsim

@@ -44,9 +44,10 @@ class BlockScheduler
 
     void reset();
 
-    /** Checkpointing: kernel queues (as app indices) + RR cursors. */
-    void saveState(StateWriter &w, const Application &app) const;
-    void loadState(StateReader &r, const Application &app);
+    /** Checkpointing (common/state_io.hh): kernel queues (as indices
+     *  into @p app) and the round-robin cursors. */
+    template <class Self, class V>
+    static void visitState(Self &self, V &v, const Application &app);
 
   private:
     struct KernelQueue

@@ -94,6 +94,10 @@ class GpuSim
     Cycle simulateKernel(const KernelDesc &kernel, Cycle now);
     Cycle runLoop(Cycle now, const char *what);
     std::string saveRunState(Cycle now) const;
+    /** The snapshot (common/state_io.hh): the run cursor at @p now,
+     *  the stats, then memory, block scheduler and SMs. */
+    template <class Self, class V>
+    static void visitRunState(Self &self, V &v, Cycle &now);
     SimStats finishRun(Cycle now);
 
     GpuConfig cfg_;

@@ -103,49 +103,29 @@ Instruction::numSrcs() const
     return n;
 }
 
+template <class Self, class V>
 void
-saveInstructionState(StateWriter &w, const Instruction &inst)
+visitInstructionState(Self &inst, V &v)
 {
-    w.u64("inst.op", static_cast<std::uint64_t>(inst.op));
-    w.i64("inst.dst", inst.dst);
-    for (RegIndex r : inst.srcs)
-        w.i64("inst.src", r);
-    w.u64("inst.mem.space", static_cast<std::uint64_t>(inst.mem.space));
-    w.u64("inst.mem.region", inst.mem.region);
-    w.u64("inst.mem.sectors", inst.mem.sectors);
-    w.u64("inst.mem.stride", inst.mem.strideBytes);
-    w.u64("inst.mem.step", inst.mem.stepBytes);
-    w.u64("inst.mem.footprint", inst.mem.footprintBytes);
-    w.b("inst.mem.random", inst.mem.randomAccess);
+    const FieldRange reg = inRange(kNoReg, kMaxRegs - 1, "register");
+    v.field("inst.op", inst.op, below(Opcode::NumOpcodes));
+    v.field("inst.dst", inst.dst, reg);
+    for (auto &src : inst.srcs)
+        v.field("inst.src", src, reg);
+    v.field("inst.mem.space", inst.mem.space,
+            inRange(0, static_cast<std::int64_t>(MemSpace::Shared)));
+    v.field("inst.mem.region", inst.mem.region);
+    v.field("inst.mem.sectors", inst.mem.sectors);
+    v.field("inst.mem.stride", inst.mem.strideBytes);
+    v.field("inst.mem.step", inst.mem.stepBytes);
+    // Addresses are taken modulo the footprint (genAddress).
+    v.field("inst.mem.footprint", inst.mem.footprintBytes,
+            inRange(1, std::numeric_limits<std::int64_t>::max(),
+                    "footprint"));
+    v.field("inst.mem.random", inst.mem.randomAccess);
 }
 
-Instruction
-loadInstructionState(StateReader &r)
-{
-    Instruction inst;
-    std::uint64_t op = r.u64("inst.op");
-    if (op >= static_cast<std::uint64_t>(Opcode::NumOpcodes))
-        scsim_throw(CacheError, "snapshot: bad opcode %llu",
-                    static_cast<unsigned long long>(op));
-    inst.op = static_cast<Opcode>(op);
-    inst.dst = static_cast<RegIndex>(r.i64("inst.dst"));
-    for (RegIndex &reg : inst.srcs)
-        reg = static_cast<RegIndex>(r.i64("inst.src"));
-    std::uint64_t space = r.u64("inst.mem.space");
-    if (space > static_cast<std::uint64_t>(MemSpace::Shared))
-        scsim_throw(CacheError, "snapshot: bad memory space %llu",
-                    static_cast<unsigned long long>(space));
-    inst.mem.space = static_cast<MemSpace>(space);
-    inst.mem.region = static_cast<std::uint8_t>(r.u64("inst.mem.region"));
-    inst.mem.sectors =
-        static_cast<std::uint8_t>(r.u64("inst.mem.sectors"));
-    inst.mem.strideBytes =
-        static_cast<std::uint32_t>(r.u64("inst.mem.stride"));
-    inst.mem.stepBytes =
-        static_cast<std::uint32_t>(r.u64("inst.mem.step"));
-    inst.mem.footprintBytes = r.u64("inst.mem.footprint");
-    inst.mem.randomAccess = r.b("inst.mem.random");
-    return inst;
-}
+template void visitInstructionState(const Instruction &, StateWriter &);
+template void visitInstructionState(Instruction &, StateReader &);
 
 } // namespace scsim

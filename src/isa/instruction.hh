@@ -153,14 +153,8 @@ struct Instruction
     }
 };
 
-class StateReader;
-class StateWriter;
-
-/** Serialize every field of @p inst for checkpointing. */
-void saveInstructionState(StateWriter &w, const Instruction &inst);
-
-/** Inverse of saveInstructionState; throws CacheError on bad data. */
-Instruction loadInstructionState(StateReader &r);
+/** Checkpointing (common/state_io.hh): every field of @p inst. */
+template <class Self, class V> void visitInstructionState(Self &inst, V &v);
 
 } // namespace scsim
 

@@ -77,30 +77,21 @@ Cache::reset()
     tick_ = accesses_ = misses_ = 0;
 }
 
+template <class Self, class V>
 void
-Cache::saveState(StateWriter &w) const
+Cache::visitState(Self &self, V &v)
 {
-    w.u64("cache.tick", tick_);
-    w.u64("cache.accesses", accesses_);
-    w.u64("cache.misses", misses_);
-    for (const Line &line : lines_) {
-        w.b("line.valid", line.valid);
-        w.u64("line.tag", line.tag);
-        w.u64("line.lastUse", line.lastUse);
+    v.field("cache.tick", self.tick_);
+    v.field("cache.accesses", self.accesses_);
+    v.field("cache.misses", self.misses_);
+    for (auto &line : self.lines_) {
+        v.field("line.valid", line.valid);
+        v.field("line.tag", line.tag);
+        v.field("line.lastUse", line.lastUse);
     }
 }
 
-void
-Cache::loadState(StateReader &r)
-{
-    tick_ = r.u64("cache.tick");
-    accesses_ = r.u64("cache.accesses");
-    misses_ = r.u64("cache.misses");
-    for (Line &line : lines_) {
-        line.valid = r.b("line.valid");
-        line.tag = r.u64("line.tag");
-        line.lastUse = r.u64("line.lastUse");
-    }
-}
+template void Cache::visitState(const Cache &, StateWriter &);
+template void Cache::visitState(Cache &, StateReader &);
 
 } // namespace scsim

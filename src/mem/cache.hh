@@ -16,9 +16,6 @@
 
 namespace scsim {
 
-class StateReader;
-class StateWriter;
-
 class Cache
 {
   public:
@@ -45,9 +42,9 @@ class Cache
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t misses() const { return misses_; }
 
-    /** Checkpointing: tag array + LRU clock + counters. */
-    void saveState(StateWriter &w) const;
-    void loadState(StateReader &r);
+    /** Checkpointing (common/state_io.hh): LRU clock, counters and the
+     *  tag array. */
+    template <class Self, class V> static void visitState(Self &self, V &v);
 
   private:
     struct Line

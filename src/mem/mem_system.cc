@@ -108,28 +108,20 @@ MemSystem::reset()
     l1Accesses_ = l1Misses_ = 0;
 }
 
+template <class Self, class V>
 void
-MemSystem::saveState(StateWriter &w) const
+MemSystem::visitState(Self &self, V &v)
 {
-    for (const Cache &l1 : l1s_)
-        l1.saveState(w);
-    l2_.saveState(w);
-    w.f64("mem.l2Free", l2Free_);
-    w.f64("mem.dramFree", dramFree_);
-    w.u64("mem.l1Accesses", l1Accesses_);
-    w.u64("mem.l1Misses", l1Misses_);
+    for (auto &l1 : self.l1s_)
+        Cache::visitState(l1, v);
+    Cache::visitState(self.l2_, v);
+    v.field("mem.l2Free", self.l2Free_);
+    v.field("mem.dramFree", self.dramFree_);
+    v.field("mem.l1Accesses", self.l1Accesses_);
+    v.field("mem.l1Misses", self.l1Misses_);
 }
 
-void
-MemSystem::loadState(StateReader &r)
-{
-    for (Cache &l1 : l1s_)
-        l1.loadState(r);
-    l2_.loadState(r);
-    l2Free_ = r.f64("mem.l2Free");
-    dramFree_ = r.f64("mem.dramFree");
-    l1Accesses_ = r.u64("mem.l1Accesses");
-    l1Misses_ = r.u64("mem.l1Misses");
-}
+template void MemSystem::visitState(const MemSystem &, StateWriter &);
+template void MemSystem::visitState(MemSystem &, StateReader &);
 
 } // namespace scsim

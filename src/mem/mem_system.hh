@@ -53,9 +53,9 @@ class MemSystem
 
     void reset();
 
-    /** Checkpointing: caches, bandwidth clocks, L1 counters. */
-    void saveState(StateWriter &w) const;
-    void loadState(StateReader &r);
+    /** Checkpointing (common/state_io.hh): caches, bandwidth clocks,
+     *  L1 counters. */
+    template <class Self, class V> static void visitState(Self &self, V &v);
 
   private:
     const GpuConfig &cfg_;

@@ -87,7 +87,7 @@ ResultCache::lookup(std::uint64_t key, SimStats &out)
             text << in.rdbuf();
             SimStats s;
             switch (decodeStats(text.str(), s)) {
-              case StatsDecode::Ok: {
+              case WireDecode::Ok: {
                 if (maxDiskBytes_) {
                     // Touch the entry so LRU-by-mtime trimming sees
                     // disk hits as recent use.  Best-effort: a failed
@@ -103,11 +103,11 @@ ResultCache::lookup(std::uint64_t key, SimStats &out)
                 ++hits_;
                 return true;
               }
-              case StatsDecode::VersionSkew:
+              case WireDecode::VersionSkew:
                 // Another format version: a legitimate miss; the
                 // re-run overwrites the stale entry.
                 break;
-              case StatsDecode::Corrupt: {
+              case WireDecode::Corrupt: {
                 // Move the damaged file aside so the evidence
                 // survives and the re-run's write cannot be
                 // mistaken for the bad entry.

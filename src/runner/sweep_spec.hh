@@ -59,14 +59,15 @@ struct SweepSpec
     }
 };
 
-/** Execution knobs for a sweep. */
+/** Execution knobs for a sweep.  Every member has an initializer, so
+ *  a designated initializer may name just the knobs it sets. */
 struct SweepOptions
 {
     /** Worker threads; 0 = one per hardware thread. */
     int jobs = 0;
 
     /** On-disk result cache directory; empty = in-memory only. */
-    std::string cacheDir;
+    std::string cacheDir{};
 
     /**
      * Disk-footprint cap for the result cache; 0 = unbounded.  When
@@ -100,7 +101,7 @@ struct SweepOptions
      * executable (/proc/self/exe).  Exists so tests can point the
      * engine at the CLI from a test binary.
      */
-    std::string selfExe;
+    std::string selfExe{};
 
     /** Per-job wall-clock limit for isolated jobs; 0 = none. */
     double jobTimeoutSec = 0.0;
@@ -121,13 +122,13 @@ struct SweepOptions
     std::uint64_t checkpointCycles = 0;
 
     /** Directory for worker snapshot files (created if missing). */
-    std::string snapshotDir;
+    std::string snapshotDir{};
 
     /**
      * Append every finished job to this journal (see runner/journal.hh)
      * so an interrupted sweep can resume.  Empty = no journal.
      */
-    std::string journalPath;
+    std::string journalPath{};
 
     /**
      * Resume from this journal: jobs it holds are adopted instead of
@@ -135,7 +136,7 @@ struct SweepOptions
      * then rewritten complete (adopted records re-seeded, any damaged
      * tail scrubbed).  Empty = fresh sweep.
      */
-    std::string resumePath;
+    std::string resumePath{};
 };
 
 } // namespace scsim::runner

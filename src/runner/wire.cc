@@ -254,7 +254,7 @@ serializeStats(const SimStats &stats)
                        serializeStatsPayload(stats));
 }
 
-StatsDecode
+WireDecode
 decodeStats(const std::string &text, SimStats &out)
 {
     std::string payload;
@@ -269,7 +269,7 @@ decodeStats(const std::string &text, SimStats &out)
 bool
 deserializeStats(const std::string &text, SimStats &out)
 {
-    return decodeStats(text, out) == StatsDecode::Ok;
+    return decodeStats(text, out) == WireDecode::Ok;
 }
 
 std::string

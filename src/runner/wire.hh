@@ -45,9 +45,6 @@ enum class WireDecode
     Corrupt,      //!< bad header, checksum mismatch, or parse failure
 };
 
-/** Historical name from the result cache; same three outcomes. */
-using StatsDecode = WireDecode;
-
 /** Version of the job / job-result wire records (IPC + journal). */
 inline constexpr std::uint32_t kJobWireVersion = 1;
 
@@ -147,7 +144,7 @@ class FrameAssembler
 std::string serializeStats(const SimStats &stats);
 
 /** Decode @p text into @p out; see WireDecode. */
-StatsDecode decodeStats(const std::string &text, SimStats &out);
+WireDecode decodeStats(const std::string &text, SimStats &out);
 
 /** Convenience: decodeStats(...) == Ok. */
 bool deserializeStats(const std::string &text, SimStats &out);

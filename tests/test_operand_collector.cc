@@ -1,5 +1,6 @@
 /** @file Tests for collector units and the operand collector. */
 
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -166,19 +167,20 @@ TEST_F(CollectorTest, ReadyMaskIsRebuiltOnLoad)
     oc_.allocate(0, Instruction::alu(Opcode::FADD, 0, 0, 1), arb_, 0);
     oc_.allocate(1, Instruction::alu(Opcode::MOV, 4), arb_, 0);
     StateWriter w;
-    oc_.saveState(w);
+    OperandCollector::visitState(std::as_const(oc_), w, 64);
 
     OperandCollector back(2);
     StateReader r(w.payload());
-    back.loadState(r, 64);
+    OperandCollector::visitState(back, r, 64);
     EXPECT_EQ(back.readyMask(), 0b10u);
     EXPECT_EQ(back.freeCount(), 0);
 
     oc_.release(1);
     StateWriter w2;
-    oc_.saveState(w2);
+    OperandCollector::visitState(std::as_const(oc_), w2, 64);
     StateReader r2(w2.payload());
-    back.loadState(r2, 64);   // over a collector that had state
+    // Over a collector that had state.
+    OperandCollector::visitState(back, r2, 64);
     EXPECT_EQ(back.readyMask(), 0u);
     EXPECT_EQ(back.freeCount(), 1);
 }

@@ -2,6 +2,7 @@
 
 #include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -333,7 +334,7 @@ TEST(RegFileArbiter, SnapshotListsQueuesInFifoOrderAndRoundTrips)
     arb.pushRead(0, ReadRequest{ 5, 4 });
     arb.pushWrite(1, WriteRequest{ 9, 17 });
     StateWriter w;
-    arb.saveState(w);
+    RegFileArbiter::visitState(std::as_const(arb), w, 8, 64);
     EXPECT_EQ(w.payload(),
               "rf.readq 4\n"
               "rf.read.cu 2\nrf.read.mask 1\n"
@@ -348,9 +349,9 @@ TEST(RegFileArbiter, SnapshotListsQueuesInFifoOrderAndRoundTrips)
 
     RegFileArbiter back(2);
     StateReader r(w.payload());
-    back.loadState(r, 8, 64);
+    RegFileArbiter::visitState(back, r, 8, 64);
     StateWriter again;
-    back.saveState(again);
+    RegFileArbiter::visitState(std::as_const(back), again, 8, 64);
     EXPECT_EQ(again.payload(), w.payload());
     std::vector<int> order;
     while (back.anyPending())

@@ -113,7 +113,7 @@ TEST_F(RobustnessTest, ChecksumDetectsPayloadTampering)
     std::string tampered = text;
     tampered.replace(tampered.find("12345"), 5, "54321");
     SimStats out;
-    EXPECT_EQ(decodeStats(tampered, out), StatsDecode::Corrupt);
+    EXPECT_EQ(decodeStats(tampered, out), WireDecode::Corrupt);
 }
 
 // ---- fault injector ---------------------------------------------------
