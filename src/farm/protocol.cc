@@ -1,10 +1,12 @@
 #include "farm/protocol.hh"
 
-#include <cinttypes>
-#include <cstdlib>
-#include <sstream>
+#include <cctype>
+#include <climits>
+#include <concepts>
+#include <type_traits>
 
 #include "common/logging.hh"
+#include "common/state_io.hh"
 #include "common/text_escape.hh"
 #include "runner/job_key.hh"
 
@@ -18,63 +20,186 @@ using runner::WireDecode;
 
 namespace {
 
+/** @p M is the record @p T, const (to write) or not (to read). */
+template <class M, class T>
+concept Is = std::same_as<std::remove_const_t<M>, T>;
+
+/** A count kept in an int: never negative on the wire. */
+const FieldRange kIntCount = inRange(0, INT_MAX, "count");
+
+// One field list per fixed-shape message: `visitFields(msg, v)` names
+// every field once with its wire key.  Over a StateWriter it writes the
+// payload, over a FieldReader it decodes one (see common/state_io.hh).
+
+template <Is<HelloMsg> M, class V>
 void
-putLine(std::string &out, const char *key, const std::string &value)
+visitFields(M &m, V &v)
 {
-    out += key;
-    out += ' ';
-    out += value;
-    out += '\n';
+    v.field("role", m.role);
+    v.field("build", m.build);
+    v.field("jobwire", m.jobWire);
+    v.field("resultformat", m.resultFormat);
 }
 
+template <Is<AcceptMsg> M, class V>
 void
-putU64(std::string &out, const char *key, std::uint64_t v)
+visitFields(M &m, V &v)
 {
-    putLine(out, key, detail::format("%" PRIu64, v));
+    v.field("sweep", m.sweepId);
+    v.field("spec", asHex(m.specHash));
+    v.field("njobs", m.jobCount);
+    v.field("adopted", m.adopted);
 }
 
+template <Is<SweepDoneMsg> M, class V>
 void
-putBool(std::string &out, const char *key, bool v)
+visitFields(M &m, V &v)
 {
-    putLine(out, key, v ? "1" : "0");
+    v.field("executed", m.executed);
+    v.field("cachehits", m.cacheHits);
+    v.field("failed", m.failed);
+    v.field("resumed", m.resumed);
 }
 
-std::string
-restOfLine(std::istringstream &ls)
+template <Is<BusyMsg> M, class V>
+void
+visitFields(M &m, V &v)
 {
-    std::string rest;
-    std::getline(ls, rest);
-    if (!rest.empty() && rest.front() == ' ')
-        rest.erase(0, 1);
-    return rest;
+    v.field("reason", m.reason);
+    v.field("retryafterms", m.retryAfterMs);
+    v.field("queuedepth", m.queueDepth);
+}
+
+template <Is<DrainAckMsg> M, class V>
+void
+visitFields(M &m, V &v)
+{
+    v.field("inflight", m.inFlight);
+    v.field("abandoned", m.abandoned);
+    v.field("sweepsactive", m.sweepsActive);
+}
+
+template <Is<ErrorMsg> M, class V>
+void
+visitFields(M &m, V &v)
+{
+    v.field("message", m.message);
 }
 
 /**
- * Unframe a farm record and hand each `key value` payload line to
- * @p fn (false from fn = corrupt).  Shared by every fixed-shape
- * message; submit/jobdone parse by hand because they embed sized
- * binary blocks.
+ * Every FarmStatus field as f(name, field[, range]), by its
+ * `status --json` name: the one list the status record (under the
+ * lower-cased name) and statusToJson iterate.
  */
-template <typename Fn>
+template <Is<FarmStatus> S, class F>
+void
+forEachField(S &s, F &&f)
+{
+    f("build", s.build);
+    f("protocol", s.protocol);
+    f("uptimeMs", s.uptimeMs);
+    f("workers", s.workers, kIntCount);
+    f("busyWorkers", s.busyWorkers, kIntCount);
+    f("queueDepth", s.queueDepth);
+    f("inFlight", s.inFlight);
+    f("sessions", s.sessions);
+    f("sweepsActive", s.sweepsActive);
+    f("sweepsCompleted", s.sweepsCompleted);
+    f("jobsCompleted", s.jobsCompleted);
+    f("jobsFailed", s.jobsFailed);
+    f("jobsCrashed", s.jobsCrashed);
+    f("jobsCoalesced", s.jobsCoalesced);
+    f("cacheHits", s.cacheHits);
+    f("cacheMisses", s.cacheMisses);
+    f("cacheQuarantined", s.cacheQuarantined);
+    f("cacheEvicted", s.cacheEvicted);
+    f("cacheDiskBytes", s.cacheDiskBytes);
+    f("cacheMaxBytes", s.cacheMaxBytes);
+    f("draining", s.draining);
+    f("maxQueuedJobs", s.maxQueuedJobs);
+    f("maxSweepsPerClient", s.maxSweepsPerClient);
+    f("submitsRejected", s.submitsRejected);
+    f("idleDisconnects", s.idleDisconnects);
+    f("slowReaderDisconnects", s.slowReaderDisconnects);
+    f("connectionsShed", s.connectionsShed);
+    f("acceptFailures", s.acceptFailures);
+    f("staleCompletions", s.staleCompletions);
+}
+
+template <Is<FarmStatus> S, class V>
+void
+visitFields(S &s, V &v)
+{
+    forEachField(s, [&v](const char *name, auto &field, auto... range) {
+        std::string key = name;
+        for (char &c : key)
+            c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+        v.field(key, field, range...);
+    });
+}
+
+template <class M>
+std::string
+encode(const char *magic, const M &m)
+{
+    StateWriter w;
+    visitFields(m, w);
+    return runner::frameRecord(magic, kFarmProtocolVersion, w.payload());
+}
+
+/** Unframe a @p magic record and decode its payload (see
+ *  readFields). */
+template <class Fields, class Other>
 WireDecode
-parseLines(const char *magic, const std::string &frame, Fn &&fn)
+decodePayload(const char *magic, const std::string &frame, Fields &&fields,
+              Other &&other)
 {
     std::string payload;
     WireDecode d = runner::unframeRecord(magic, kFarmProtocolVersion,
                                          frame, payload);
     if (d != WireDecode::Ok)
         return d;
-    std::istringstream in(payload);
-    std::string line;
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string key;
-        if (!(ls >> key))
-            continue;
-        if (!fn(key, ls))
-            return WireDecode::Corrupt;
-    }
-    return WireDecode::Ok;
+    return readFields(payload, fields, other) ? WireDecode::Ok
+                                              : WireDecode::Corrupt;
+}
+
+/** Decode a fixed-shape message into @p out (untouched unless Ok). */
+template <class M>
+WireDecode
+decode(const char *magic, const std::string &frame, M &out)
+{
+    M m;
+    WireDecode d = decodePayload(
+        magic, frame, [&m](FieldReader &r) { visitFields(m, r); },
+        [](FieldReader &) {});
+    if (d == WireDecode::Ok)
+        out = std::move(m);
+    return d;
+}
+
+// Submit and jobdone carry sized blocks after their scalar fields: a
+// `job <index> <bytes>` / `result <bytes>` line, then that many bytes
+// of an embedded scsim-job / scsim-jobres record.
+constexpr const char *kJobBlock = "job";
+constexpr const char *kResultBlock = "result";
+
+/** Submit's scalar fields; @p njobs is the count of `job` blocks. */
+template <Is<SubmitMsg> M, class N, class V>
+void
+visitFields(M &m, N &njobs, V &v)
+{
+    v.field("name", m.name);
+    v.field("detach", m.detach);
+    v.field("resume", m.resume);
+    v.field("njobs", njobs);
+}
+
+template <Is<JobDoneMsg> M, class V>
+void
+visitFields(M &m, V &v)
+{
+    v.field("index", m.index);
+    v.field("adopted", m.adopted);
 }
 
 } // namespace
@@ -101,35 +226,13 @@ localHello(const char *role)
 std::string
 serializeHello(const HelloMsg &m)
 {
-    std::string payload;
-    putLine(payload, "role", escapeLine(m.role));
-    putLine(payload, "build", escapeLine(m.build));
-    putU64(payload, "jobwire", m.jobWire);
-    putU64(payload, "resultformat", m.resultFormat);
-    return runner::frameRecord(kHelloMagic, kFarmProtocolVersion,
-                               payload);
+    return encode(kHelloMagic, m);
 }
 
 WireDecode
 parseHello(const std::string &frame, HelloMsg &out)
 {
-    HelloMsg m;
-    WireDecode d = parseLines(
-        kHelloMagic, frame, [&](const std::string &key,
-                                std::istringstream &ls) {
-            if (key == "role")
-                m.role = unescapeLine(restOfLine(ls));
-            else if (key == "build")
-                m.build = unescapeLine(restOfLine(ls));
-            else if (key == "jobwire")
-                return static_cast<bool>(ls >> m.jobWire);
-            else if (key == "resultformat")
-                return static_cast<bool>(ls >> m.resultFormat);
-            return true;  // unknown keys: forward-compatible
-        });
-    if (d == WireDecode::Ok)
-        out = std::move(m);
-    return d;
+    return decode(kHelloMagic, frame, out);
 }
 
 void
@@ -158,77 +261,46 @@ requireCompatibleHello(const HelloMsg &peer)
 std::string
 serializeSubmit(const SubmitMsg &m)
 {
-    std::string payload;
-    putLine(payload, "name", escapeLine(m.name));
-    putBool(payload, "detach", m.detach);
-    putBool(payload, "resume", m.resume);
-    putU64(payload, "njobs", m.spec.jobs.size());
-    for (std::size_t i = 0; i < m.spec.jobs.size(); ++i) {
+    StateWriter w;
+    const std::size_t njobs = m.spec.jobs.size();
+    visitFields(m, njobs, w);
+    for (std::size_t i = 0; i < njobs; ++i) {
         std::string job = runner::serializeJob(m.spec.jobs[i]);
-        payload += detail::format("job %zu %zu\n", i, job.size());
-        payload += job;
+        w.words(kJobBlock, i, job.size());
+        w.block(job);
     }
     return runner::frameRecord(kSubmitMagic, kFarmProtocolVersion,
-                               payload);
+                               w.payload());
 }
 
 WireDecode
 parseSubmit(const std::string &frame, SubmitMsg &out)
 {
-    std::string payload;
-    WireDecode d = runner::unframeRecord(
-        kSubmitMagic, kFarmProtocolVersion, frame, payload);
-    if (d != WireDecode::Ok)
-        return d;
-
     SubmitMsg m;
     std::uint64_t njobs = 0;
-    std::size_t pos = 0;
-    while (pos < payload.size()) {
-        auto lineEnd = payload.find('\n', pos);
-        if (lineEnd == std::string::npos)
-            return WireDecode::Corrupt;
-        std::istringstream ls(payload.substr(pos, lineEnd - pos));
-        pos = lineEnd + 1;
-        std::string key;
-        if (!(ls >> key))
-            continue;
-        if (key == "name") {
-            m.name = unescapeLine(restOfLine(ls));
-        } else if (key == "detach") {
-            int b;
-            if (!(ls >> b))
-                return WireDecode::Corrupt;
-            m.detach = b != 0;
-        } else if (key == "resume") {
-            int b;
-            if (!(ls >> b))
-                return WireDecode::Corrupt;
-            m.resume = b != 0;
-        } else if (key == "njobs") {
-            if (!(ls >> njobs))
-                return WireDecode::Corrupt;
-        } else if (key == "job") {
+    WireDecode d = decodePayload(
+        kSubmitMagic, frame,
+        [&](FieldReader &r) { visitFields(m, njobs, r); },
+        [&](FieldReader &r) {
             std::size_t index = 0, nbytes = 0;
-            if (!(ls >> index >> nbytes)
-                || index != m.spec.jobs.size()
-                || pos + nbytes > payload.size())
-                return WireDecode::Corrupt;
+            std::string_view block;
+            if (!r.words(kJobBlock, index, nbytes))
+                return;
             runner::SimJob job;
-            // parseJob may throw ConfigError for a config key the
-            // peer knows and we don't — let it propagate; the caller
+            // parseJob may throw ConfigError for a config key the peer
+            // knows and we don't — let it propagate; the caller
             // reports it as a rejection, not silent corruption.
-            if (runner::parseJob(payload.substr(pos, nbytes), job)
-                != WireDecode::Ok)
-                return WireDecode::Corrupt;
+            if (index != m.spec.jobs.size() || !r.block(nbytes, block)
+                || runner::parseJob(std::string(block), job)
+                       != WireDecode::Ok)
+                return r.refuse();
             m.spec.jobs.push_back(std::move(job));
-            pos += nbytes;
-        }
-    }
-    if (m.spec.jobs.size() != njobs)
-        return WireDecode::Corrupt;
-    out = std::move(m);
-    return WireDecode::Ok;
+        });
+    if (d == WireDecode::Ok && m.spec.jobs.size() != njobs)
+        d = WireDecode::Corrupt;
+    if (d == WireDecode::Ok)
+        out = std::move(m);
+    return d;
 }
 
 // ---- accept -----------------------------------------------------------
@@ -236,41 +308,13 @@ parseSubmit(const std::string &frame, SubmitMsg &out)
 std::string
 serializeAccept(const AcceptMsg &m)
 {
-    std::string payload;
-    putU64(payload, "sweep", m.sweepId);
-    putLine(payload, "spec", runner::keyToHex(m.specHash));
-    putU64(payload, "njobs", m.jobCount);
-    putU64(payload, "adopted", m.adopted);
-    return runner::frameRecord(kAcceptMagic, kFarmProtocolVersion,
-                               payload);
+    return encode(kAcceptMagic, m);
 }
 
 WireDecode
 parseAccept(const std::string &frame, AcceptMsg &out)
 {
-    AcceptMsg m;
-    WireDecode d = parseLines(
-        kAcceptMagic, frame, [&](const std::string &key,
-                                 std::istringstream &ls) {
-            if (key == "sweep")
-                return static_cast<bool>(ls >> m.sweepId);
-            if (key == "spec") {
-                std::string hex;
-                if (!(ls >> hex))
-                    return false;
-                char *end = nullptr;
-                m.specHash = std::strtoull(hex.c_str(), &end, 16);
-                return end && *end == '\0';
-            }
-            if (key == "njobs")
-                return static_cast<bool>(ls >> m.jobCount);
-            if (key == "adopted")
-                return static_cast<bool>(ls >> m.adopted);
-            return true;
-        });
-    if (d == WireDecode::Ok)
-        out = std::move(m);
-    return d;
+    return decode(kAcceptMagic, frame, out);
 }
 
 // ---- jobdone ----------------------------------------------------------
@@ -278,60 +322,38 @@ parseAccept(const std::string &frame, AcceptMsg &out)
 std::string
 serializeJobDone(const JobDoneMsg &m)
 {
-    std::string payload;
-    putU64(payload, "index", m.index);
-    putBool(payload, "adopted", m.adopted);
+    StateWriter w;
+    visitFields(m, w);
     std::string res = runner::serializeJobResult(m.result);
-    payload += detail::format("result %zu\n", res.size());
-    payload += res;
+    w.words(kResultBlock, res.size());
+    w.block(res);
     return runner::frameRecord(kJobDoneMagic, kFarmProtocolVersion,
-                               payload);
+                               w.payload());
 }
 
 WireDecode
 parseJobDone(const std::string &frame, JobDoneMsg &out)
 {
-    std::string payload;
-    WireDecode d = runner::unframeRecord(
-        kJobDoneMagic, kFarmProtocolVersion, frame, payload);
-    if (d != WireDecode::Ok)
-        return d;
-
     JobDoneMsg m;
     bool haveResult = false;
-    std::size_t pos = 0;
-    while (pos < payload.size()) {
-        auto lineEnd = payload.find('\n', pos);
-        if (lineEnd == std::string::npos)
-            return WireDecode::Corrupt;
-        std::istringstream ls(payload.substr(pos, lineEnd - pos));
-        pos = lineEnd + 1;
-        std::string key;
-        if (!(ls >> key))
-            continue;
-        if (key == "index") {
-            if (!(ls >> m.index))
-                return WireDecode::Corrupt;
-        } else if (key == "adopted") {
-            int b;
-            if (!(ls >> b))
-                return WireDecode::Corrupt;
-            m.adopted = b != 0;
-        } else if (key == "result") {
+    WireDecode d = decodePayload(
+        kJobDoneMagic, frame, [&](FieldReader &r) { visitFields(m, r); },
+        [&](FieldReader &r) {
             std::size_t nbytes = 0;
-            if (!(ls >> nbytes) || pos + nbytes > payload.size())
-                return WireDecode::Corrupt;
-            if (runner::decodeJobResult(payload.substr(pos, nbytes),
-                                        m.result) != WireDecode::Ok)
-                return WireDecode::Corrupt;
+            std::string_view block;
+            if (!r.words(kResultBlock, nbytes))
+                return;
+            if (!r.block(nbytes, block)
+                || runner::decodeJobResult(std::string(block), m.result)
+                       != WireDecode::Ok)
+                return r.refuse();
             haveResult = true;
-            pos += nbytes;
-        }
-    }
-    if (!haveResult)
-        return WireDecode::Corrupt;
-    out = std::move(m);
-    return WireDecode::Ok;
+        });
+    if (d == WireDecode::Ok && !haveResult)
+        d = WireDecode::Corrupt;
+    if (d == WireDecode::Ok)
+        out = std::move(m);
+    return d;
 }
 
 // ---- sweepdone --------------------------------------------------------
@@ -339,35 +361,13 @@ parseJobDone(const std::string &frame, JobDoneMsg &out)
 std::string
 serializeSweepDone(const SweepDoneMsg &m)
 {
-    std::string payload;
-    putU64(payload, "executed", m.executed);
-    putU64(payload, "cachehits", m.cacheHits);
-    putU64(payload, "failed", m.failed);
-    putU64(payload, "resumed", m.resumed);
-    return runner::frameRecord(kSweepDoneMagic, kFarmProtocolVersion,
-                               payload);
+    return encode(kSweepDoneMagic, m);
 }
 
 WireDecode
 parseSweepDone(const std::string &frame, SweepDoneMsg &out)
 {
-    SweepDoneMsg m;
-    WireDecode d = parseLines(
-        kSweepDoneMagic, frame, [&](const std::string &key,
-                                    std::istringstream &ls) {
-            if (key == "executed")
-                return static_cast<bool>(ls >> m.executed);
-            if (key == "cachehits")
-                return static_cast<bool>(ls >> m.cacheHits);
-            if (key == "failed")
-                return static_cast<bool>(ls >> m.failed);
-            if (key == "resumed")
-                return static_cast<bool>(ls >> m.resumed);
-            return true;
-        });
-    if (d == WireDecode::Ok)
-        out = std::move(m);
-    return d;
+    return decode(kSweepDoneMagic, frame, out);
 }
 
 // ---- admission control ------------------------------------------------
@@ -375,34 +375,13 @@ parseSweepDone(const std::string &frame, SweepDoneMsg &out)
 std::string
 serializeBusy(const BusyMsg &m)
 {
-    std::string payload;
-    putLine(payload, "reason", escapeLine(m.reason));
-    putU64(payload, "retryafterms", m.retryAfterMs);
-    putU64(payload, "queuedepth", m.queueDepth);
-    return runner::frameRecord(kBusyMagic, kFarmProtocolVersion,
-                               payload);
+    return encode(kBusyMagic, m);
 }
 
 WireDecode
 parseBusy(const std::string &frame, BusyMsg &out)
 {
-    BusyMsg m;
-    WireDecode d = parseLines(
-        kBusyMagic, frame, [&](const std::string &key,
-                               std::istringstream &ls) {
-            if (key == "reason") {
-                m.reason = unescapeLine(restOfLine(ls));
-                return true;
-            }
-            if (key == "retryafterms")
-                return static_cast<bool>(ls >> m.retryAfterMs);
-            if (key == "queuedepth")
-                return static_cast<bool>(ls >> m.queueDepth);
-            return true;
-        });
-    if (d == WireDecode::Ok)
-        out = std::move(m);
-    return d;
+    return decode(kBusyMagic, frame, out);
 }
 
 // ---- drain ------------------------------------------------------------
@@ -425,32 +404,13 @@ parseDrainReq(const std::string &frame)
 std::string
 serializeDrainAck(const DrainAckMsg &m)
 {
-    std::string payload;
-    putU64(payload, "inflight", m.inFlight);
-    putU64(payload, "abandoned", m.abandoned);
-    putU64(payload, "sweepsactive", m.sweepsActive);
-    return runner::frameRecord(kDrainAckMagic, kFarmProtocolVersion,
-                               payload);
+    return encode(kDrainAckMagic, m);
 }
 
 WireDecode
 parseDrainAck(const std::string &frame, DrainAckMsg &out)
 {
-    DrainAckMsg m;
-    WireDecode d = parseLines(
-        kDrainAckMagic, frame, [&](const std::string &key,
-                                   std::istringstream &ls) {
-            if (key == "inflight")
-                return static_cast<bool>(ls >> m.inFlight);
-            if (key == "abandoned")
-                return static_cast<bool>(ls >> m.abandoned);
-            if (key == "sweepsactive")
-                return static_cast<bool>(ls >> m.sweepsActive);
-            return true;
-        });
-    if (d == WireDecode::Ok)
-        out = std::move(m);
-    return d;
+    return decode(kDrainAckMagic, frame, out);
 }
 
 // ---- status -----------------------------------------------------------
@@ -482,179 +442,42 @@ parseStatusReq(const std::string &frame)
 std::string
 serializeStatus(const FarmStatus &s)
 {
-    std::string payload;
-    putLine(payload, "build", escapeLine(s.build));
-    putU64(payload, "protocol", s.protocol);
-    putU64(payload, "uptimems", s.uptimeMs);
-    putU64(payload, "workers", static_cast<std::uint64_t>(s.workers));
-    putU64(payload, "busyworkers",
-           static_cast<std::uint64_t>(s.busyWorkers));
-    putU64(payload, "queuedepth", s.queueDepth);
-    putU64(payload, "inflight", s.inFlight);
-    putU64(payload, "sessions", s.sessions);
-    putU64(payload, "sweepsactive", s.sweepsActive);
-    putU64(payload, "sweepscompleted", s.sweepsCompleted);
-    putU64(payload, "jobscompleted", s.jobsCompleted);
-    putU64(payload, "jobsfailed", s.jobsFailed);
-    putU64(payload, "jobscrashed", s.jobsCrashed);
-    putU64(payload, "jobscoalesced", s.jobsCoalesced);
-    putU64(payload, "cachehits", s.cacheHits);
-    putU64(payload, "cachemisses", s.cacheMisses);
-    putU64(payload, "cachequarantined", s.cacheQuarantined);
-    putU64(payload, "cacheevicted", s.cacheEvicted);
-    putU64(payload, "cachediskbytes", s.cacheDiskBytes);
-    putU64(payload, "cachemaxbytes", s.cacheMaxBytes);
-    putBool(payload, "draining", s.draining);
-    putU64(payload, "maxqueuedjobs", s.maxQueuedJobs);
-    putU64(payload, "maxsweepsperclient", s.maxSweepsPerClient);
-    putU64(payload, "submitsrejected", s.submitsRejected);
-    putU64(payload, "idledisconnects", s.idleDisconnects);
-    putU64(payload, "slowreaderdisconnects", s.slowReaderDisconnects);
-    putU64(payload, "connectionsshed", s.connectionsShed);
-    putU64(payload, "acceptfailures", s.acceptFailures);
-    putU64(payload, "stalecompletions", s.staleCompletions);
-    return runner::frameRecord(kStatusMagic, kFarmProtocolVersion,
-                               payload);
+    return encode(kStatusMagic, s);
 }
 
 WireDecode
 parseStatus(const std::string &frame, FarmStatus &out)
 {
-    FarmStatus s;
-    WireDecode d = parseLines(
-        kStatusMagic, frame, [&](const std::string &key,
-                                 std::istringstream &ls) {
-            if (key == "build") {
-                s.build = unescapeLine(restOfLine(ls));
-                return true;
-            }
-            if (key == "protocol")
-                return static_cast<bool>(ls >> s.protocol);
-            if (key == "uptimems")
-                return static_cast<bool>(ls >> s.uptimeMs);
-            if (key == "workers")
-                return static_cast<bool>(ls >> s.workers);
-            if (key == "busyworkers")
-                return static_cast<bool>(ls >> s.busyWorkers);
-            if (key == "queuedepth")
-                return static_cast<bool>(ls >> s.queueDepth);
-            if (key == "inflight")
-                return static_cast<bool>(ls >> s.inFlight);
-            if (key == "sessions")
-                return static_cast<bool>(ls >> s.sessions);
-            if (key == "sweepsactive")
-                return static_cast<bool>(ls >> s.sweepsActive);
-            if (key == "sweepscompleted")
-                return static_cast<bool>(ls >> s.sweepsCompleted);
-            if (key == "jobscompleted")
-                return static_cast<bool>(ls >> s.jobsCompleted);
-            if (key == "jobsfailed")
-                return static_cast<bool>(ls >> s.jobsFailed);
-            if (key == "jobscrashed")
-                return static_cast<bool>(ls >> s.jobsCrashed);
-            if (key == "jobscoalesced")
-                return static_cast<bool>(ls >> s.jobsCoalesced);
-            if (key == "cachehits")
-                return static_cast<bool>(ls >> s.cacheHits);
-            if (key == "cachemisses")
-                return static_cast<bool>(ls >> s.cacheMisses);
-            if (key == "cachequarantined")
-                return static_cast<bool>(ls >> s.cacheQuarantined);
-            if (key == "cacheevicted")
-                return static_cast<bool>(ls >> s.cacheEvicted);
-            if (key == "cachediskbytes")
-                return static_cast<bool>(ls >> s.cacheDiskBytes);
-            if (key == "cachemaxbytes")
-                return static_cast<bool>(ls >> s.cacheMaxBytes);
-            if (key == "draining") {
-                int b;
-                if (!(ls >> b))
-                    return false;
-                s.draining = b != 0;
-                return true;
-            }
-            if (key == "maxqueuedjobs")
-                return static_cast<bool>(ls >> s.maxQueuedJobs);
-            if (key == "maxsweepsperclient")
-                return static_cast<bool>(ls >> s.maxSweepsPerClient);
-            if (key == "submitsrejected")
-                return static_cast<bool>(ls >> s.submitsRejected);
-            if (key == "idledisconnects")
-                return static_cast<bool>(ls >> s.idleDisconnects);
-            if (key == "slowreaderdisconnects")
-                return static_cast<bool>(ls >> s.slowReaderDisconnects);
-            if (key == "connectionsshed")
-                return static_cast<bool>(ls >> s.connectionsShed);
-            if (key == "acceptfailures")
-                return static_cast<bool>(ls >> s.acceptFailures);
-            if (key == "stalecompletions")
-                return static_cast<bool>(ls >> s.staleCompletions);
-            return true;
-        });
-    if (d == WireDecode::Ok)
-        out = std::move(s);
-    return d;
+    return decode(kStatusMagic, frame, out);
 }
 
 std::string
 statusToJson(const FarmStatus &s)
 {
-    std::string out;
-    out += "{\n";
-    out += "  \"build\": \"" + jsonEscape(s.build) + "\",\n";
-    out += detail::format("  \"protocol\": %u,\n", s.protocol);
-    out += detail::format("  \"uptimeMs\": %" PRIu64 ",\n", s.uptimeMs);
-    out += detail::format("  \"workers\": %d,\n", s.workers);
-    out += detail::format("  \"busyWorkers\": %d,\n", s.busyWorkers);
-    out += detail::format("  \"queueDepth\": %" PRIu64 ",\n",
-                          s.queueDepth);
-    out += detail::format("  \"inFlight\": %" PRIu64 ",\n", s.inFlight);
-    out += detail::format("  \"sessions\": %" PRIu64 ",\n", s.sessions);
-    out += detail::format("  \"sweepsActive\": %" PRIu64 ",\n",
-                          s.sweepsActive);
-    out += detail::format("  \"sweepsCompleted\": %" PRIu64 ",\n",
-                          s.sweepsCompleted);
-    out += detail::format("  \"jobsCompleted\": %" PRIu64 ",\n",
-                          s.jobsCompleted);
-    out += detail::format("  \"jobsFailed\": %" PRIu64 ",\n",
-                          s.jobsFailed);
-    out += detail::format("  \"jobsCrashed\": %" PRIu64 ",\n",
-                          s.jobsCrashed);
-    out += detail::format("  \"jobsCoalesced\": %" PRIu64 ",\n",
-                          s.jobsCoalesced);
-    out += detail::format("  \"cacheHits\": %" PRIu64 ",\n",
-                          s.cacheHits);
-    out += detail::format("  \"cacheMisses\": %" PRIu64 ",\n",
-                          s.cacheMisses);
-    out += detail::format("  \"cacheHitRate\": %.4f,\n",
-                          s.cacheHitRate());
-    out += detail::format("  \"cacheQuarantined\": %" PRIu64 ",\n",
-                          s.cacheQuarantined);
-    out += detail::format("  \"cacheEvicted\": %" PRIu64 ",\n",
-                          s.cacheEvicted);
-    out += detail::format("  \"cacheDiskBytes\": %" PRIu64 ",\n",
-                          s.cacheDiskBytes);
-    out += detail::format("  \"cacheMaxBytes\": %" PRIu64 ",\n",
-                          s.cacheMaxBytes);
-    out += detail::format("  \"draining\": %s,\n",
-                          s.draining ? "true" : "false");
-    out += detail::format("  \"maxQueuedJobs\": %" PRIu64 ",\n",
-                          s.maxQueuedJobs);
-    out += detail::format("  \"maxSweepsPerClient\": %" PRIu64 ",\n",
-                          s.maxSweepsPerClient);
-    out += detail::format("  \"submitsRejected\": %" PRIu64 ",\n",
-                          s.submitsRejected);
-    out += detail::format("  \"idleDisconnects\": %" PRIu64 ",\n",
-                          s.idleDisconnects);
-    out += detail::format("  \"slowReaderDisconnects\": %" PRIu64 ",\n",
-                          s.slowReaderDisconnects);
-    out += detail::format("  \"connectionsShed\": %" PRIu64 ",\n",
-                          s.connectionsShed);
-    out += detail::format("  \"acceptFailures\": %" PRIu64 ",\n",
-                          s.acceptFailures);
-    out += detail::format("  \"staleCompletions\": %" PRIu64 "\n",
-                          s.staleCompletions);
-    out += "}\n";
+    std::string out = "{\n";
+    const char *sep = "";
+    auto entry = [&](const char *name, const std::string &value) {
+        out += sep;
+        out += "  \"";
+        out += name;
+        out += "\": ";
+        out += value;
+        sep = ",\n";
+    };
+    forEachField(s, [&](const char *name, const auto &field, auto...) {
+        using T = std::remove_cvref_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, std::string>)
+            entry(name, "\"" + jsonEscape(field) + "\"");
+        else if constexpr (std::is_same_v<T, bool>)
+            entry(name, field ? "true" : "false");
+        else
+            entry(name, std::to_string(field));
+        // The derived hit rate follows the counts it is made of.
+        if (std::string_view(name) == "cacheMisses")
+            entry("cacheHitRate",
+                  detail::format("%.4f", s.cacheHitRate()));
+    });
+    out += "\n}\n";
     return out;
 }
 
@@ -663,26 +486,13 @@ statusToJson(const FarmStatus &s)
 std::string
 serializeError(const std::string &message)
 {
-    std::string payload;
-    putLine(payload, "message", escapeLine(message));
-    return runner::frameRecord(kErrorMagic, kFarmProtocolVersion,
-                               payload);
+    return encode(kErrorMagic, ErrorMsg{ message });
 }
 
 WireDecode
 parseError(const std::string &frame, ErrorMsg &out)
 {
-    ErrorMsg m;
-    WireDecode d = parseLines(
-        kErrorMagic, frame, [&](const std::string &key,
-                                std::istringstream &ls) {
-            if (key == "message")
-                m.message = unescapeLine(restOfLine(ls));
-            return true;
-        });
-    if (d == WireDecode::Ok)
-        out = std::move(m);
-    return d;
+    return decode(kErrorMagic, frame, out);
 }
 
 // ---- decode policy ----------------------------------------------------

@@ -29,17 +29,23 @@ enum class JobStatus
     Crashed,  //!< isolated worker died (signal, bad exit, or timeout)
 };
 
+/** Each status's name, indexed by its value. */
+inline constexpr const char *kJobStatusNames[] = {
+    "skipped", "ok", "cached", "failed", "hang", "crashed",
+};
+
 /** Debug name: "skipped"/"ok"/"cached"/"failed"/"hang"/"crashed". */
-const char *toString(JobStatus s);
+inline const char *
+toString(JobStatus s)
+{
+    return kJobStatusNames[static_cast<int>(s)];
+}
 
 /**
  * Manifest form of a status.  Cached collapses to "ok": manifests
  * exclude execution-dependent facts, and cache hits are exactly that.
  */
 const char *manifestStatus(JobStatus s);
-
-/** Inverse of toString; false when @p name is not a status. */
-bool parseJobStatus(const std::string &name, JobStatus &out);
 
 /** Outcome of one job, in spec order. */
 struct JobResult

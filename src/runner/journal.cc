@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cinttypes>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -14,7 +13,7 @@
 #include "common/io_util.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "common/text_escape.hh"
+#include "common/state_io.hh"
 #include "runner/job_key.hh"
 #include "runner/result_cache.hh"
 #include "runner/wire.hh"
@@ -26,12 +25,31 @@ namespace {
 constexpr const char *kJournalMagic = "scsim-journal";
 inline constexpr std::uint32_t kJournalVersion = 1;
 
+/** Each record is a `record <index> <bytes> <tag>` line, then <bytes>
+ *  of scsim-jobres record and a newline. */
+constexpr const char *kRecordKey = "record";
+
 std::string
-headerLine(std::uint64_t specHash, std::uint64_t jobCount)
+versionWord()
 {
-    return detail::format("%s v%u spec %s jobs %" PRIu64 "\n",
-                          kJournalMagic, kJournalVersion,
-                          keyToHex(specHash).c_str(), jobCount);
+    return detail::format("v%u", kJournalVersion);
+}
+
+/** The header line's fields. */
+struct Header
+{
+    std::string version;
+    std::uint64_t specHash = 0;
+    std::uint64_t jobCount = 0;
+};
+
+/** `scsim-journal v<version> spec <hash> jobs <count>`. */
+template <class H, class V>
+void
+visitHeader(H &h, V &v)
+{
+    v.words(kJournalMagic, h.version, Keyword{ "spec" }, asHex(h.specHash),
+            Keyword{ "jobs" }, h.jobCount);
 }
 
 } // namespace
@@ -61,64 +79,38 @@ readJournal(const std::string &path)
 
     JournalContents out;
 
-    auto nl = text.find('\n');
-    if (nl == std::string::npos)
+    FieldReader r(text);
+    Header h;
+    if (!r.next())
         scsim_throw(CacheError, "journal '%s' has no header",
                     path.c_str());
-    {
-        std::istringstream hs(text.substr(0, nl));
-        std::string magic, version, specKw, specHex, jobsKw;
-        if (!(hs >> magic >> version >> specKw >> specHex >> jobsKw
-                 >> out.jobCount)
-            || magic != kJournalMagic || specKw != "spec"
-            || jobsKw != "jobs")
-            scsim_throw(CacheError, "journal '%s' has a malformed "
-                        "header", path.c_str());
-        if (version != detail::format("v%u", kJournalVersion))
-            scsim_throw(CacheError, "journal '%s' is format %s; this "
-                        "build writes v%u", path.c_str(),
-                        version.c_str(), kJournalVersion);
-        char *end = nullptr;
-        out.specHash = std::strtoull(specHex.c_str(), &end, 16);
-        if (!end || *end != '\0')
-            scsim_throw(CacheError, "journal '%s' has an unparsable "
-                        "spec hash", path.c_str());
-    }
+    visitHeader(h, r);
+    if (!r.claimed() || r.bad())
+        scsim_throw(CacheError, "journal '%s' has a malformed header",
+                    path.c_str());
+    if (h.version != versionWord())
+        scsim_throw(CacheError, "journal '%s' is format %s; this "
+                    "build writes v%u", path.c_str(), h.version.c_str(),
+                    kJournalVersion);
+    out.specHash = h.specHash;
+    out.jobCount = h.jobCount;
 
     // Records.  Any damage from here on is a truncated tail (the
     // SIGKILL-mid-append case): keep what is intact, drop the rest.
-    std::size_t pos = nl + 1;
-    while (pos < text.size()) {
-        auto lineEnd = text.find('\n', pos);
-        if (lineEnd == std::string::npos)
-            break;  // half-written record line
-        std::istringstream ls(text.substr(pos, lineEnd - pos));
-        std::string kw;
-        std::size_t index = 0, nbytes = 0;
-        if (!(ls >> kw >> index >> nbytes) || kw != "record") {
-            ++out.dropped;
-            break;
-        }
-        std::string tag;
-        std::getline(ls, tag);
-        if (!tag.empty() && tag.front() == ' ')
-            tag.erase(0, 1);
-
-        std::size_t payloadStart = lineEnd + 1;
-        if (payloadStart + nbytes + 1 > text.size()) {
-            ++out.dropped;
-            break;  // payload (or its trailing newline) cut short
-        }
+    // A half-written record line is not a record yet.
+    while (r.next()) {
         JournalRecord rec;
-        rec.index = index;
-        rec.tag = unescapeLine(tag);
-        if (decodeJobResult(text.substr(payloadStart, nbytes),
-                            rec.result) != WireDecode::Ok) {
+        std::size_t nbytes = 0;
+        std::string_view payload, newline;
+        if (!r.words(kRecordKey, rec.index, nbytes, rec.tag)
+            || !r.block(nbytes, payload) || !r.block(1, newline)
+            || newline != "\n"
+            || decodeJobResult(std::string(payload), rec.result)
+                   != WireDecode::Ok) {
             ++out.dropped;
             break;
         }
         out.records.push_back(std::move(rec));
-        pos = payloadStart + nbytes + 1;
     }
     if (out.dropped)
         scsim_warn("journal '%s': dropped damaged tail record; the "
@@ -164,7 +156,10 @@ JournalWriter::JournalWriter(const std::string &path,
                     path.c_str(), std::strerror(errno));
     off_t size = ::lseek(fd_, 0, SEEK_END);
     if (size == 0) {
-        if (int err = writeAll(headerLine(specHash, jobCount)))
+        const Header h{ versionWord(), specHash, jobCount };
+        StateWriter w;
+        visitHeader(h, w);
+        if (int err = writeAll(w.payload()))
             scsim_throw(CacheError, "write to journal '%s' failed: %s",
                         path.c_str(), std::strerror(err));
         if (::fsync(fd_) != 0)
@@ -192,9 +187,11 @@ JournalWriter::append(std::size_t index, const std::string &tag,
                       const JobResult &result)
 {
     std::string payload = serializeJobResult(result);
-    std::string record = detail::format("record %zu %zu ", index,
-                                        payload.size())
-        + escapeLine(tag) + "\n" + payload + "\n";
+    StateWriter w;
+    w.words(kRecordKey, index, payload.size(), tag);
+    w.block(payload);
+    w.block("\n");
+    const std::string &record = w.payload();
 
     std::lock_guard lock(mutex_);
     if (dead_)

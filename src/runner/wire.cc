@@ -1,13 +1,10 @@
 #include "runner/wire.hh"
 
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
-#include <type_traits>
+#include <climits>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "common/text_escape.hh"
+#include "common/state_io.hh"
 #include "runner/job_key.hh"
 #include "stats/stats_io.hh"
 
@@ -20,102 +17,96 @@ constexpr const char *kJobMagic = "scsim-job";
 constexpr const char *kJobResMagic = "scsim-jobres";
 constexpr const char *kSnapshotMagic = "scsim-snapshot";
 
-void
-putLine(std::string &out, const char *key, const std::string &value)
-{
-    out += key;
-    out += ' ';
-    out += value;
-    out += '\n';
-}
+/** A frame header is `<magic> v<version> <algorithm> <checksum>`. */
+constexpr const char *kChecksumAlgo = "fnv1a";
+/** A stream envelope line is `frame <bytes>`. */
+constexpr const char *kEnvelopeKey = "frame";
+/** A snapshot payload opens with `key <job key>`. */
+constexpr const char *kSnapshotKey = "key";
+/** A job record's config lines are `cfg <field> <value>`. */
+constexpr const char *kConfigKey = "cfg";
 
-/** Rest-of-line value after @p ls's current position, sans one
- *  leading separator space. */
 std::string
-restOfLine(std::istringstream &ls)
+versionWord(std::uint32_t version)
 {
-    std::string rest;
-    std::getline(ls, rest);
-    if (!rest.empty() && rest.front() == ' ')
-        rest.erase(0, 1);
-    return rest;
+    return detail::format("v%u", version);
 }
 
-/** Every GpuConfig field as a `cfg <key> <value>` line. */
+/** `app.<name>` for every AppSpec field, in forEachField order. */
+const std::vector<std::string> &
+appKeys()
+{
+    static const std::vector<std::string> keys = [] {
+        std::vector<std::string> k;
+        AppSpec app;
+        forEachField(app, [&k](const char *name, const auto &) {
+            k.push_back(std::string("app.") + name);
+        });
+        return k;
+    }();
+    return keys;
+}
+
+/** A job's config, one `cfg <field> <value>` line per GpuConfig
+ *  field, in GpuConfig's own field list and spelling (fieldText). */
 void
-putConfig(std::string &out, const GpuConfig &cfg)
+visitConfig(const GpuConfig &cfg, StateWriter &w)
 {
-    forEachField(cfg, [&out](const char *name, const auto &value) {
-        out += "cfg ";
-        putLine(out, name, fieldText(value));
+    forEachField(cfg, [&w](const char *name, const auto &value) {
+        w.words(kConfigKey, Keyword{ name }, fieldText(value));
     });
 }
 
-/** Every AppSpec field as an `app.<key> ...` line: names escaped onto
- *  one line, the division pattern as one ` %.17g` per slot. */
+/** Reader side: GpuConfig::set decodes the line, so a key this build
+ *  does not know throws ConfigError (a version-skewed peer).  The value
+ *  must also be the writer's spelling, which `--set` parsing is not
+ *  held to (it takes `+7` for 7). */
 void
-putApp(std::string &out, const AppSpec &app)
+visitConfig(GpuConfig &cfg, FieldReader &r)
 {
-    forEachField(app, [&out](const char *name, const auto &value) {
-        using T = std::decay_t<decltype(value)>;
-        out += "app.";
-        out += name;
-        if constexpr (std::is_same_v<T, std::string>) {
-            out += ' ' + escapeLine(value);
-        } else if constexpr (std::is_same_v<T, std::vector<double>>) {
-            for (double d : value)
-                out += ' ' + fieldText(d);
-        } else {
-            out += ' ' + fieldText(value);
-        }
-        out += '\n';
+    std::string key, value;
+    if (!r.words(kConfigKey, key, value))
+        return;
+    cfg.set(key, value);
+    forEachField(cfg, [&](const char *name, const auto &field) {
+        if (key == name && fieldText(field) != value)
+            r.refuse();
     });
 }
 
-/** Parse one `app.<field> ...` line; Corrupt on a bad value. */
-StatsLine
-parseAppLine(const std::string &key, std::istringstream &ls, AppSpec &app)
+/** The scsim-job record: its own fields, the config, then every
+ *  AppSpec field as `app.<name>`. */
+template <class J, class V>
+void
+visitJob(J &job, V &v)
 {
-    if (key.rfind("app.", 0) != 0)
-        return StatsLine::Unknown;
-    StatsLine res = StatsLine::Unknown;
-    forEachField(app, [&](const char *name, auto &field) {
-        if (res != StatsLine::Unknown || key.compare(4, key.npos, name) != 0)
-            return;
-        using T = std::remove_reference_t<decltype(field)>;
-        res = StatsLine::Consumed;
-        if constexpr (std::is_same_v<T, std::string>) {
-            field = unescapeLine(restOfLine(ls));
-        } else if constexpr (std::is_same_v<T, std::vector<double>>) {
-            field.clear();
-            double d;
-            while (ls >> d)
-                field.push_back(d);
-        } else {
-            std::string text;
-            ls >> text;
-            if (!parseFieldText(text, field))
-                res = StatsLine::Corrupt;
-        }
+    v.field("tag", job.tag);
+    v.field("salt", job.salt);
+    v.field("concurrent", job.concurrent);
+    visitConfig(job.cfg, v);
+    std::size_t i = 0;
+    forEachField(job.app, [&](const char *, auto &field) {
+        v.field(appKeys()[i++], field);
     });
-    return res;
+}
+
+/** The scsim-jobres header fields; the stats payload follows. */
+template <class R, class V>
+void
+visitJobResult(R &r, V &v)
+{
+    v.field("key", asHex(r.key));
+    v.field("status", byName(r.status, kJobStatusNames));
+    v.field("error", r.error);
+    v.field("wallMs", r.wallMs);
+    v.field("cached", r.cached);
+    // -1 when the worker did not exit on its own.
+    v.field("exitCode", r.exitCode, inRange(-1, 255, "exit code"));
+    v.field("termSignal", r.termSignal, inRange(0, 127, "signal"));
+    v.field("attempts", r.attempts, inRange(0, INT_MAX, "count"));
 }
 
 } // namespace
-
-const char *
-toString(JobStatus s)
-{
-    switch (s) {
-      case JobStatus::Skipped: return "skipped";
-      case JobStatus::Ok:      return "ok";
-      case JobStatus::Cached:  return "cached";
-      case JobStatus::Failed:  return "failed";
-      case JobStatus::Hang:    return "hang";
-      case JobStatus::Crashed: return "crashed";
-    }
-    return "?";
-}
 
 const char *
 manifestStatus(JobStatus s)
@@ -123,76 +114,67 @@ manifestStatus(JobStatus s)
     return s == JobStatus::Cached ? "ok" : toString(s);
 }
 
-bool
-parseJobStatus(const std::string &name, JobStatus &out)
-{
-    for (JobStatus s : { JobStatus::Skipped, JobStatus::Ok,
-                         JobStatus::Cached, JobStatus::Failed,
-                         JobStatus::Hang, JobStatus::Crashed })
-        if (name == toString(s)) {
-            out = s;
-            return true;
-        }
-    return false;
-}
-
 std::string
 frameRecord(const char *magic, std::uint32_t version,
             const std::string &payload)
 {
-    char header[96];
-    std::snprintf(header, sizeof header, "%s v%u fnv1a %s\n", magic,
-                  version, keyToHex(hashString(payload)).c_str());
-    return header + payload;
+    const std::string ver = versionWord(version);
+    std::uint64_t sum = hashString(payload);
+    StateWriter w;
+    w.words(magic, Keyword{ ver }, Keyword{ kChecksumAlgo }, asHex(sum));
+    w.block(payload);
+    return w.take();
 }
 
 WireDecode
 unframeRecord(const char *magic, std::uint32_t version,
               const std::string &text, std::string &payload)
 {
-    auto nl = text.find('\n');
-    if (nl == std::string::npos)
+    // The version is checked before the rest of the header, so a record
+    // of another version is skew even if its header changed shape.
+    FrameHeader hdr;
+    if (!peekFrameHeader(text, hdr) || hdr.magic != magic)
         return WireDecode::Corrupt;
-    std::istringstream hs(text.substr(0, nl));
-    std::string gotMagic, gotVersion, algo, sum;
-    if (!(hs >> gotMagic >> gotVersion) || gotMagic != magic)
-        return WireDecode::Corrupt;
-    if (gotVersion != detail::format("v%u", version))
+    if (hdr.version != version)
         return WireDecode::VersionSkew;
-    if (!(hs >> algo >> sum) || algo != "fnv1a")
+    const std::string ver = versionWord(version);
+    std::uint64_t sum = 0;
+    FieldReader r(text);
+    if (!r.next()
+        || !r.words(magic, Keyword{ ver }, Keyword{ kChecksumAlgo },
+                    asHex(sum))
+        || hashString(r.rest()) != sum)
         return WireDecode::Corrupt;
-
-    std::string body = text.substr(nl + 1);
-    if (keyToHex(hashString(body)) != sum)
-        return WireDecode::Corrupt;
-    payload = std::move(body);
+    payload = std::string(r.rest());
     return WireDecode::Ok;
 }
 
 bool
 peekFrameHeader(const std::string &text, FrameHeader &out)
 {
-    auto nl = text.find('\n');
-    std::istringstream hs(text.substr(
-        0, nl == std::string::npos ? text.size() : nl));
-    std::string magic, version;
-    if (!(hs >> magic >> version))
+    std::string_view line(text);
+    line = line.substr(0, line.find('\n'));
+    std::size_t sp = line.find(' ');
+    if (sp == 0 || sp == std::string_view::npos)
         return false;
-    if (version.size() < 2 || version.front() != 'v')
+    std::string_view version = line.substr(sp + 1);
+    version = version.substr(0, version.find(' '));
+    std::uint32_t v = 0;
+    if (version.empty() || version.front() != 'v'
+        || decodeValue(version.substr(1), v) != Decoded::Ok)
         return false;
-    char *end = nullptr;
-    unsigned long v = std::strtoul(version.c_str() + 1, &end, 10);
-    if (!end || *end != '\0')
-        return false;
-    out.magic = std::move(magic);
-    out.version = static_cast<std::uint32_t>(v);
+    out.magic = std::string(line.substr(0, sp));
+    out.version = v;
     return true;
 }
 
 std::string
 envelopeFrame(const std::string &frame)
 {
-    return detail::format("frame %zu\n", frame.size()) + frame;
+    StateWriter w;
+    w.field(kEnvelopeKey, frame.size());
+    w.block(frame);
+    return w.take();
 }
 
 void
@@ -219,31 +201,28 @@ FrameAssembler::next(std::string &frame)
     if (corrupt_)
         return false;
 
-    // Envelope line: `frame <byte-count>\n`.  Longest legal line is
-    // "frame " + 20 digits; anything longer without a newline is
-    // already garbage — don't wait for one that may never come.
-    auto nl = buf_.find('\n');
-    if (nl == std::string::npos) {
+    // Longest legal envelope line is "frame " + 20 digits; anything
+    // longer without a newline is already garbage — don't wait for one
+    // that may never come.
+    FieldReader r(buf_);
+    if (!r.next()) {
         if (buf_.size() > 32)
             poison();
         return false;
     }
-
-    std::istringstream hs(buf_.substr(0, nl));
-    std::string kw;
     std::uint64_t nbytes = 0;
-    std::string trailing;
-    if (!(hs >> kw >> nbytes) || kw != "frame" || (hs >> trailing)
-        || nbytes > maxFrameBytes_) {
+    if (!r.field(kEnvelopeKey, nbytes,
+                 inRange(0, static_cast<std::int64_t>(maxFrameBytes_),
+                         "frame size"))) {
         poison();
         return false;
     }
-
-    if (buf_.size() - (nl + 1) < nbytes)
+    std::string_view body;
+    if (!r.block(nbytes, body))
         return false;  // body still in flight
 
-    frame = buf_.substr(nl + 1, nbytes);
-    buf_.erase(0, nl + 1 + nbytes);
+    frame.assign(body);
+    buf_.erase(0, buf_.size() - r.rest().size());
     return true;
 }
 
@@ -275,13 +254,9 @@ deserializeStats(const std::string &text, SimStats &out)
 std::string
 serializeJob(const SimJob &job)
 {
-    std::string payload;
-    putLine(payload, "tag", escapeLine(job.tag));
-    putLine(payload, "salt", fieldText(job.salt));
-    putLine(payload, "concurrent", fieldText(job.concurrent));
-    putConfig(payload, job.cfg);
-    putApp(payload, job.app);
-    return frameRecord(kJobMagic, kJobWireVersion, payload);
+    StateWriter w;
+    visitJob(job, w);
+    return frameRecord(kJobMagic, kJobWireVersion, w.payload());
 }
 
 WireDecode
@@ -292,37 +267,9 @@ parseJob(const std::string &text, SimJob &out)
                                  payload);
     if (d != WireDecode::Ok)
         return d;
-
     SimJob job;
-    std::istringstream in(payload);
-    std::string line;
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string key;
-        if (!(ls >> key))
-            continue;
-        if (key == "tag") {
-            job.tag = unescapeLine(restOfLine(ls));
-        } else if (key == "salt") {
-            if (!(ls >> job.salt))
-                return WireDecode::Corrupt;
-        } else if (key == "concurrent") {
-            int b;
-            if (!(ls >> b))
-                return WireDecode::Corrupt;
-            job.concurrent = b != 0;
-        } else if (key == "cfg") {
-            std::string cfgKey, cfgValue;
-            if (!(ls >> cfgKey >> cfgValue))
-                return WireDecode::Corrupt;
-            job.cfg.set(cfgKey, cfgValue);  // may throw ConfigError
-        } else if (parseAppLine(key, ls, job.app)
-                   == StatsLine::Corrupt) {
-            return WireDecode::Corrupt;
-        }
-        // Unknown keys are skipped: forward-compatible within a
-        // format version bump.
-    }
+    if (!readFields(payload, [&job](FieldReader &r) { visitJob(job, r); }))
+        return WireDecode::Corrupt;
     out = std::move(job);
     return WireDecode::Ok;
 }
@@ -330,17 +277,10 @@ parseJob(const std::string &text, SimJob &out)
 std::string
 serializeJobResult(const JobResult &r)
 {
-    std::string payload;
-    putLine(payload, "key", keyToHex(r.key));
-    putLine(payload, "status", toString(r.status));
-    putLine(payload, "error", escapeLine(r.error));
-    putLine(payload, "wallMs", fieldText(r.wallMs));
-    putLine(payload, "cached", fieldText(r.cached));
-    putLine(payload, "exitCode", fieldText(r.exitCode));
-    putLine(payload, "termSignal", fieldText(r.termSignal));
-    putLine(payload, "attempts", fieldText(r.attempts));
-    payload += serializeStatsPayload(r.stats);
-    return frameRecord(kJobResMagic, kJobWireVersion, payload);
+    StateWriter w;
+    visitJobResult(r, w);
+    w.block(serializeStatsPayload(r.stats));
+    return frameRecord(kJobResMagic, kJobWireVersion, w.payload());
 }
 
 WireDecode
@@ -351,64 +291,25 @@ decodeJobResult(const std::string &text, JobResult &out)
                                  payload);
     if (d != WireDecode::Ok)
         return d;
-
-    JobResult r;
-    std::istringstream in(payload);
-    std::string line;
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string key;
-        if (!(ls >> key))
-            continue;
-        if (key == "key") {
-            std::string hex;
-            if (!(ls >> hex))
-                return WireDecode::Corrupt;
-            char *end = nullptr;
-            r.key = std::strtoull(hex.c_str(), &end, 16);
-            if (!end || *end != '\0')
-                return WireDecode::Corrupt;
-        } else if (key == "status") {
-            std::string name;
-            if (!(ls >> name) || !parseJobStatus(name, r.status))
-                return WireDecode::Corrupt;
-        } else if (key == "error") {
-            r.error = unescapeLine(restOfLine(ls));
-        } else if (key == "wallMs") {
-            if (!(ls >> r.wallMs))
-                return WireDecode::Corrupt;
-        } else if (key == "cached") {
-            int b;
-            if (!(ls >> b))
-                return WireDecode::Corrupt;
-            r.cached = b != 0;
-        } else if (key == "exitCode") {
-            if (!(ls >> r.exitCode))
-                return WireDecode::Corrupt;
-        } else if (key == "termSignal") {
-            if (!(ls >> r.termSignal))
-                return WireDecode::Corrupt;
-        } else if (key == "attempts") {
-            if (!(ls >> r.attempts))
-                return WireDecode::Corrupt;
-        } else if (parseStatsLine(line, r.stats) == StatsLine::Corrupt) {
-            return WireDecode::Corrupt;
-        }
-    }
-    out = std::move(r);
+    JobResult res;
+    if (!readFields(
+            payload, [&res](FieldReader &r) { visitJobResult(res, r); },
+            [&res](FieldReader &r) { readStatsLine(r, res.stats); }))
+        return WireDecode::Corrupt;
+    out = std::move(res);
     return WireDecode::Ok;
 }
 
 std::string
 serializeSnapshot(std::uint64_t jobKey, const std::string &simState)
 {
-    // First payload line pins the job key; the simulator state (its
-    // own line-oriented `key value` text) follows verbatim, so the
+    // The first payload line pins the job key; the simulator state
+    // (its own line-oriented `key value` text) follows verbatim, so the
     // record round-trips to the byte.
-    std::string payload;
-    putLine(payload, "key", keyToHex(jobKey));
-    payload += simState;
-    return frameRecord(kSnapshotMagic, kSnapshotVersion, payload);
+    StateWriter w;
+    w.field(kSnapshotKey, asHex(jobKey));
+    w.block(simState);
+    return frameRecord(kSnapshotMagic, kSnapshotVersion, w.payload());
 }
 
 WireDecode
@@ -420,22 +321,12 @@ decodeSnapshot(const std::string &text, std::uint64_t &jobKey,
                                  payload);
     if (d != WireDecode::Ok)
         return d;
-
-    auto nl = payload.find('\n');
-    if (nl == std::string::npos)
+    FieldReader r(payload);
+    std::uint64_t key = 0;
+    if (!r.next() || !r.field(kSnapshotKey, asHex(key)))
         return WireDecode::Corrupt;
-    std::istringstream ls(payload.substr(0, nl));
-    std::string kw, hex;
-    std::string trailing;
-    if (!(ls >> kw >> hex) || kw != "key" || (ls >> trailing))
-        return WireDecode::Corrupt;
-    char *end = nullptr;
-    std::uint64_t key = std::strtoull(hex.c_str(), &end, 16);
-    if (!end || *end != '\0')
-        return WireDecode::Corrupt;
-
     jobKey = key;
-    simState = payload.substr(nl + 1);
+    simState = std::string(r.rest());
     return WireDecode::Ok;
 }
 

@@ -40,6 +40,12 @@ enum class StatsLine
 /** Parse one payload line into @p s; see StatsLine. */
 StatsLine parseStatsLine(const std::string &line, SimStats &s);
 
+class FieldReader;
+
+/** Decode @p r's current line into @p s when it is a stats line (see
+ *  FieldReader::claimed); a refused value marks @p r bad. */
+void readStatsLine(FieldReader &r, SimStats &s);
+
 /**
  * Parse a whole payload into @p out.  Unknown keys are skipped
  * (forward compatibility); a malformed value for a known key fails

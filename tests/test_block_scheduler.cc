@@ -87,9 +87,9 @@ TEST_F(BlockSchedulerTest, SpreadsBlocksAcrossSms)
 TEST_F(BlockSchedulerTest, InterleavesConcurrentKernels)
 {
     KernelDesc a = makeFmaMicro(FmaLayout::Baseline, 64, 4);
-    a.name = "a";
+    a.name = std::string("a");
     KernelDesc b = makeFmaMicro(FmaLayout::Baseline, 64, 4);
-    b.name = "b";
+    b.name = std::string("b");
     sched_->launch(a);
     sched_->launch(b);
     EXPECT_EQ(sched_->activeKernels(), 2);

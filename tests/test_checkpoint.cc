@@ -837,9 +837,9 @@ expectCleanResult(const SubprocessResult &sub, const SimJob &job)
 /** Seed a damaged snapshot, run the job, expect quarantine + success. */
 void
 expectColdStartRecovery(const std::string &leaf,
-                        const std::string &snapshotBytes)
+                        const std::string &snapshotBytes,
+                        const SimJob &job = tinyJob())
 {
-    SimJob job = tinyJob();
     std::string dir = freshDir(leaf);
     std::string snap = dir + "/" + keyToHex(jobKey(job)) + ".snap";
     spew(snap, snapshotBytes);
@@ -891,6 +891,40 @@ TEST_F(CheckpointTest, RunJobStartsColdOnUnusableState)
     expectColdStartRecovery(
         "unusable",
         serializeSnapshot(jobKey(tinyJob()), "not a state payload\n"));
+}
+
+TEST_F(CheckpointTest, RunJobStartsColdOnSnapshotThatCannotProgress)
+{
+    // Every load check passes, but one busy collector unit waits on an
+    // operand slot no queued read will fill (its pending mask was empty,
+    // so no read for it is queued): the resumed run can only hang.
+    SimJob job = tinyJob();
+    job.cfg.hangWindowCycles = 5000;
+    SimEngine full(job.cfg);
+    std::vector<std::string> snaps;
+    captureSnapshots(full, 200, snaps);
+    full.runApp(job.app, job.salt, job.concurrent);
+
+    std::string stuck;
+    for (const std::string &snap : snaps) {
+        for (std::size_t at = snap.find("\ncu.busy 1\ncu.warp ");
+             stuck.empty() && at != std::string::npos;
+             at = snap.find("\ncu.busy 1\ncu.warp ", at + 1)) {
+            std::size_t pending = snap.find("\ncu.pending ", at + 1);
+            if (snap.compare(pending, 14, "\ncu.pending 0\n") == 0) {
+                stuck = snap;
+                stuck[pending + 12] = '4';
+            }
+        }
+        if (!stuck.empty())
+            break;
+    }
+    ASSERT_FALSE(stuck.empty()) << "no snapshot has a ready busy unit";
+    ASSERT_THROW(SimEngine(job.cfg).resumeApp(job.app, job.salt, stuck),
+                 HangError);
+
+    expectColdStartRecovery("stuck", serializeSnapshot(jobKey(job), stuck),
+                            job);
 }
 
 TEST_F(CheckpointTest, RunJobSucceedsWithoutAnySnapshot)

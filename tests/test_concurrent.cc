@@ -24,10 +24,10 @@ twoKernelApp(int regsA = 32, int regsB = 32)
     Application app;
     app.name = "pair";
     KernelDesc a = makeFmaMicro(FmaLayout::Baseline, 256, 8);
-    a.name = "a";
+    a.name = std::string("a");
     a.regsPerThread = regsA;
     KernelDesc b = makeFmaMicro(FmaLayout::Baseline, 256, 8);
-    b.name = "b";
+    b.name = std::string("b");
     b.regsPerThread = regsB;
     app.kernels.push_back(a);
     app.kernels.push_back(b);

@@ -236,7 +236,8 @@ statsShard(std::uint64_t base)
     s.warpsCompleted = base + 18;
     s.assignSpills = base + 19;
     s.warpMigrations = base + 20;
-    s.kernelSpans.emplace_back("k" + std::to_string(base), base);
+    s.kernelSpans.emplace_back(std::string("k").append(std::to_string(base)),
+                               base);
     s.rfReadTrace = TimeSeries{ 4 };
     s.rfReadTrace.add(0, static_cast<double>(base));
     s.rfReadTrace.finalize(4);

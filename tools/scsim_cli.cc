@@ -737,6 +737,13 @@ cmdRunJob(const Args &args)
             } catch (const CacheError &e) {
                 scsim_warn("run-job: snapshot rejected (%s)", e.what());
                 quarantine("unusable");
+            } catch (const HangError &e) {
+                // A state the load checks accept can still never
+                // progress (a collector unit waiting on a read no bank
+                // queues).  The cold run decides whether the job hangs.
+                scsim_warn("run-job: resumed run made no progress (%s)",
+                           e.what());
+                quarantine("stuck");
             }
         }
         r.stats = engine.runApp(job.app, job.salt, job.concurrent);
