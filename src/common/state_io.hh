@@ -61,7 +61,7 @@
 
 namespace scsim {
 
-/** The closed range [lo, hi] a decoded integer must fall in; @c what
+/** The closed range [lo, hi] a decoded number must fall in; @c what
  *  names the value in the reader's error. */
 struct FieldRange
 {
@@ -208,6 +208,7 @@ enum class Decoded
  * (untouched unless Ok).  A number takes no leading '+' or space:
  * writers never produce them.  Bools are 0 or 1; enums decode their
  * underlying integer, so @p range decides which values name one.  A
+ * floating value must be finite, and is held to @p range too.  A
  * std::vector is its elements separated by single spaces.
  */
 template <class T>
@@ -249,8 +250,13 @@ decodeValue(std::string_view text, T &out,
             || std::isspace(static_cast<unsigned char>(text.front())))
             return Decoded::Malformed;
         if constexpr (std::is_floating_point_v<T>) {
-            if (!parseNumber(text, out))
+            T v{};
+            if (!parseNumber(text, v))
                 return Decoded::Malformed;
+            if (range && (v < static_cast<T>(range->lo)
+                          || v > static_cast<T>(range->hi)))
+                return Decoded::OutOfRange;
+            out = v;
         } else {
             using Raw = typename std::conditional_t<
                 std::is_same_v<T, bool>, std::type_identity<unsigned char>,

@@ -2,14 +2,21 @@
 
 #include <fstream>
 #include <istream>
+#include <limits>
+#include <optional>
 #include <ostream>
-#include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "common/logging.hh"
+#include "common/state_io.hh"
 
 namespace scsim {
 
 namespace {
+
+/** `space=` spellings, indexed by MemSpace. */
+const char *const kSpaceNames[] = { "G", "S" };
 
 void
 writeInstruction(std::ostream &os, const Instruction &inst)
@@ -19,7 +26,7 @@ writeInstruction(std::ostream &os, const Instruction &inst)
         os << ' ' << r;
     if (isMemory(inst.op)) {
         const MemInfo &m = inst.mem;
-        os << " space=" << (m.space == MemSpace::Global ? "G" : "S")
+        os << " space=" << kSpaceNames[static_cast<int>(m.space)]
            << " region=" << static_cast<int>(m.region)
            << " sectors=" << static_cast<int>(m.sectors)
            << " stride=" << m.strideBytes
@@ -30,75 +37,121 @@ writeInstruction(std::ostream &os, const Instruction &inst)
     os << '\n';
 }
 
+/** The space- or tab-separated words of @p line. */
+std::vector<std::string_view>
+splitWords(std::string_view line)
+{
+    std::vector<std::string_view> words;
+    std::size_t at = 0;
+    while ((at = line.find_first_not_of(" \t", at)) != line.npos) {
+        std::size_t end = line.find_first_of(" \t", at);
+        words.push_back(line.substr(at, end - at));
+        at = end;
+    }
+    return words;
+}
+
+/** Decode @p text into @p out through decodeValue, held to @p range;
+ *  fatal, naming @p what, if refused. */
+template <class T>
+void
+decodeOrDie(std::string_view text, T &&out, int lineNo, std::string_view what,
+            std::optional<FieldRange> range = {})
+{
+    if (decodeValue(text, out, range) != Decoded::Ok)
+        scsim_fatal("trace line %d: bad %.*s '%.*s'", lineNo,
+                    static_cast<int>(what.size()), what.data(),
+                    static_cast<int>(text.size()), text.data());
+}
+
+/** Split a `key=value` word; fatal if it has no '='. */
+std::pair<std::string_view, std::string_view>
+splitAttr(std::string_view word, int lineNo)
+{
+    std::size_t eq = word.find('=');
+    if (eq == word.npos)
+        scsim_fatal("trace line %d: bad attribute '%.*s'", lineNo,
+                    static_cast<int>(word.size()), word.data());
+    return { word.substr(0, eq), word.substr(eq + 1) };
+}
+
 Instruction
 parseInstruction(const std::string &line, int lineNo)
 {
-    std::istringstream iss(line);
-    std::string mnemonic;
-    iss >> mnemonic;
-    Instruction inst;
-    inst.op = opcodeFromString(mnemonic);
-    int dst;
-    iss >> dst;
-    inst.dst = static_cast<RegIndex>(dst);
-    for (auto &src : inst.srcs) {
-        int r;
-        iss >> r;
-        src = static_cast<RegIndex>(r);
-    }
-    if (iss.fail())
+    std::vector<std::string_view> words = splitWords(line);
+    if (words.size() < 5)
         scsim_fatal("trace line %d: malformed operands", lineNo);
-    if (isMemory(inst.op)) {
-        std::string kv;
-        while (iss >> kv) {
-            auto eq = kv.find('=');
-            if (eq == std::string::npos)
-                scsim_fatal("trace line %d: bad attribute '%s'",
-                            lineNo, kv.c_str());
-            std::string key = kv.substr(0, eq);
-            std::string val = kv.substr(eq + 1);
-            MemInfo &m = inst.mem;
-            if (key == "space") {
-                m.space = (val == "G") ? MemSpace::Global
-                                       : MemSpace::Shared;
-            } else if (key == "region") {
-                m.region = static_cast<std::uint8_t>(std::stoul(val));
-            } else if (key == "sectors") {
-                m.sectors = static_cast<std::uint8_t>(std::stoul(val));
-            } else if (key == "stride") {
-                m.strideBytes = static_cast<std::uint32_t>(std::stoul(val));
-            } else if (key == "step") {
-                m.stepBytes = static_cast<std::uint32_t>(std::stoul(val));
-            } else if (key == "fp") {
-                m.footprintBytes = std::stoull(val);
-            } else if (key == "random") {
-                m.randomAccess = (val == "1");
-            } else {
-                scsim_fatal("trace line %d: unknown attribute '%s'",
-                            lineNo, key.c_str());
-            }
-        }
+    Instruction inst;
+    inst.op = opcodeFromString(std::string(words[0]));
+    const FieldRange reg = inRange(kNoReg, kMaxRegs - 1, "register");
+    decodeOrDie(words[1], inst.dst, lineNo, "register", reg);
+    for (std::size_t i = 0; i < inst.srcs.size(); ++i)
+        decodeOrDie(words[2 + i], inst.srcs[i], lineNo, "register", reg);
+    if (!isMemory(inst.op) && words.size() > 5)
+        scsim_fatal("trace line %d: unexpected '%.*s'", lineNo,
+                    static_cast<int>(words[5].size()), words[5].data());
+    MemInfo &m = inst.mem;
+    for (std::size_t i = 5; i < words.size(); ++i) {
+        auto [key, val] = splitAttr(words[i], lineNo);
+        if (key == "space")
+            decodeOrDie(val, byName(m.space, kSpaceNames), lineNo, key);
+        else if (key == "region")
+            decodeOrDie(val, m.region, lineNo, key);
+        else if (key == "sectors")
+            decodeOrDie(val, m.sectors, lineNo, key);
+        else if (key == "stride")
+            decodeOrDie(val, m.strideBytes, lineNo, key);
+        else if (key == "step")
+            decodeOrDie(val, m.stepBytes, lineNo, key);
+        else if (key == "fp")  // addresses are taken modulo it
+            decodeOrDie(val, m.footprintBytes, lineNo, key,
+                        inRange(1, std::numeric_limits<std::int64_t>::max()));
+        else if (key == "random")
+            decodeOrDie(val, m.randomAccess, lineNo, key);
+        else
+            scsim_fatal("trace line %d: unknown attribute '%.*s'", lineNo,
+                        static_cast<int>(key.size()), key.data());
     }
     return inst;
 }
 
-/** Read the next non-empty, non-comment line; false on EOF. */
-bool
-nextLine(std::istream &is, std::string &line, int &lineNo)
+/** A trace's non-empty, non-comment lines, trimmed, with their line
+ *  numbers. */
+struct TraceLines
 {
-    while (std::getline(is, line)) {
-        ++lineNo;
-        auto first = line.find_first_not_of(" \t\r");
-        if (first == std::string::npos)
-            continue;
-        if (line[first] == '#')
-            continue;
-        auto last = line.find_last_not_of(" \t\r");
-        line = line.substr(first, last - first + 1);
+    std::vector<std::pair<int, std::string>> lines;
+    std::size_t next = 0;
+
+    explicit TraceLines(std::istream &is)
+    {
+        std::string line;
+        int lineNo = 0;
+        while (std::getline(is, line)) {
+            ++lineNo;
+            auto first = line.find_first_not_of(" \t\r");
+            if (first == std::string::npos || line[first] == '#')
+                continue;
+            auto last = line.find_last_not_of(" \t\r");
+            lines.emplace_back(lineNo,
+                               line.substr(first, last - first + 1));
+        }
+    }
+
+    std::size_t left() const { return lines.size() - next; }
+
+    /** The next line into @p line and its number into @p lineNo;
+     *  false at the end. */
+    bool
+    get(std::string &line, int &lineNo)
+    {
+        if (next == lines.size())
+            return false;
+        lineNo = lines[next].first;
+        line = std::move(lines[next].second);
+        ++next;
         return true;
     }
-    return false;
-}
+};
 
 } // namespace
 
@@ -130,66 +183,68 @@ Application
 readApplication(std::istream &is)
 {
     Application app;
+    TraceLines in(is);
     std::string line;
     int lineNo = 0;
 
-    if (!nextLine(is, line, lineNo) || line.rfind("app ", 0) != 0)
+    if (!in.get(line, lineNo) || line.rfind("app ", 0) != 0)
         scsim_fatal("trace line %d: expected 'app <name> <suite>'",
                     lineNo);
     {
-        std::istringstream iss(line);
-        std::string tag;
-        iss >> tag >> app.name >> app.suite;
+        std::vector<std::string_view> words = splitWords(line);
+        app.name = words.size() > 1 ? words[1] : "";
+        app.suite = words.size() > 2 ? words[2] : "";
     }
 
-    while (nextLine(is, line, lineNo)) {
+    while (in.get(line, lineNo)) {
         if (line == "endapp")
             break;
         if (line.rfind("kernel ", 0) != 0)
             scsim_fatal("trace line %d: expected kernel/endapp, got '%s'",
                         lineNo, line.c_str());
         KernelDesc k;
-        {
-            std::istringstream iss(line);
-            std::string tag, kv;
-            iss >> tag >> k.name;
-            while (iss >> kv) {
-                auto eq = kv.find('=');
-                std::string key = kv.substr(0, eq);
-                long val = std::stol(kv.substr(eq + 1));
-                if (key == "blocks") k.numBlocks = static_cast<int>(val);
-                else if (key == "warps")
-                    k.warpsPerBlock = static_cast<int>(val);
-                else if (key == "regs")
-                    k.regsPerThread = static_cast<int>(val);
-                else if (key == "smem")
-                    k.smemBytesPerBlock =
-                        static_cast<std::uint32_t>(val);
-                else
-                    scsim_fatal("trace line %d: unknown kernel attr '%s'",
-                                lineNo, key.c_str());
-            }
+        std::vector<std::string_view> words = splitWords(line);
+        k.name = words.size() > 1 ? words[1] : "";
+        for (std::size_t i = 2; i < words.size(); ++i) {
+            auto [key, val] = splitAttr(words[i], lineNo);
+            if (key == "blocks")
+                decodeOrDie(val, k.numBlocks, lineNo, key);
+            else if (key == "warps")
+                decodeOrDie(val, k.warpsPerBlock, lineNo, key);
+            else if (key == "regs")
+                decodeOrDie(val, k.regsPerThread, lineNo, key);
+            else if (key == "smem")
+                decodeOrDie(val, k.smemBytesPerBlock, lineNo, key);
+            else
+                scsim_fatal("trace line %d: unknown kernel attr '%.*s'",
+                            lineNo, static_cast<int>(key.size()),
+                            key.data());
         }
         // shapes and map
-        while (nextLine(is, line, lineNo)) {
+        while (in.get(line, lineNo)) {
             if (line == "endkernel")
                 break;
-            if (line.rfind("shape ", 0) == 0) {
-                std::size_t n = std::stoul(line.substr(6));
+            words = splitWords(line);
+            if (words[0] == "shape" && words.size() == 2) {
+                std::size_t n = 0;
+                decodeOrDie(words[1], n, lineNo, "shape length");
+                // Each instruction takes a line, so a count past the
+                // lines left is a truncated (or damaged) trace.
+                if (n > in.left())
+                    scsim_fatal("trace line %d: EOF inside shape (%zu "
+                                "instructions, %zu lines left)", lineNo,
+                                n, in.left());
                 WarpProgram prog;
                 prog.code.reserve(n);
                 for (std::size_t i = 0; i < n; ++i) {
-                    if (!nextLine(is, line, lineNo))
-                        scsim_fatal("trace: EOF inside shape");
+                    in.get(line, lineNo);
                     prog.code.push_back(parseInstruction(line, lineNo));
                 }
                 k.shapes.push_back(std::move(prog));
-            } else if (line.rfind("map", 0) == 0) {
-                std::istringstream iss(line.substr(3));
-                unsigned s;
-                while (iss >> s)
-                    k.shapeOfWarp.push_back(
-                        static_cast<std::uint16_t>(s));
+            } else if (words[0] == "map") {
+                for (std::size_t i = 1; i < words.size(); ++i)
+                    decodeOrDie(words[i], k.shapeOfWarp.emplace_back(),
+                                lineNo, "shape index");
             } else {
                 scsim_fatal("trace line %d: unexpected '%s'", lineNo,
                             line.c_str());

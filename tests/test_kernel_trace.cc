@@ -1,6 +1,9 @@
 /** @file Tests for kernel descriptions and the text trace format. */
 
+#include <array>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -149,6 +152,40 @@ TEST(TraceIoDeath, RejectsTruncatedShape)
         "shape 3\nEXIT -1 -1 -1 -1\n");
     EXPECT_EXIT(readApplication(ss), ::testing::ExitedWithCode(1),
                 "EOF inside shape");
+}
+
+TEST(TraceIoDeath, RejectsRefusedNumbers)
+{
+    const std::string good =
+        "app x y\nkernel k blocks=1 warps=1 regs=8 smem=0\nshape 2\n"
+        "LDG 1 2 -1 -1 space=G region=3 sectors=8 stride=128 step=128 "
+        "fp=1048576 random=0\nEXIT -1 -1 -1 -1\nmap 0\nendkernel\n"
+        "endapp\n";
+    {
+        std::stringstream ss(good);
+        EXPECT_EQ(readApplication(ss).kernels.size(), 1u);
+    }
+    // Each edit of the good trace, and the error it must end in.
+    const std::vector<std::array<std::string, 3>> cases = {
+        { "shape 2", "shape 99999999999999", "EOF inside shape" },
+        { "shape 2", "shape x", "bad shape length 'x'" },
+        { "sectors=8", "sectors=268", "bad sectors '268'" },
+        { "region=3", "region=-1", "bad region '-1'" },
+        { "map 0", "map 65536", "bad shape index '65536'" },
+        { "space=G", "space=X", "bad space 'X'" },
+        { "random=0", "random=2", "bad random '2'" },
+        { "blocks=1", "blocks=1x", "bad blocks '1x'" },
+        { "LDG 1", "LDG 65537", "bad register '65537'" },
+        { "fp=1048576", "fp=0", "bad fp '0'" },
+    };
+    for (const auto &[from, to, error] : cases) {
+        std::string text = good;
+        text.replace(text.find(from), from.size(), to);
+        SCOPED_TRACE(to);
+        std::stringstream ss(text);
+        EXPECT_EXIT(readApplication(ss), ::testing::ExitedWithCode(1),
+                    error);
+    }
 }
 
 TEST(Application, ValidateThrowsOnEmpty)

@@ -1,52 +1,56 @@
 /**
  * @file
- * Command-line driver for SubCoreSim.
+ * Command-line driver for SubCoreSim.  Each command takes only its own
+ * flags; kCommands, at the bottom, is the one table of commands and
+ * their flags, and these are its rows:
  *
- *   scsim_cli run  --app tpcU-q8 [--scale 0.5] [--sms 8]
- *                  [--set scheduler=RBA] [--set assign=SRR]
- *                  [--config file.cfg] [--concurrent] [--salt N]
- *   scsim_cli run  --trace app.sctrace [...]
- *   scsim_cli run  --micro fma-unbalanced | imbalance:8 | conflict:3
- *                  | hang | crash | crash:abort
- *   scsim_cli sweep [--suite tpch-c | --apps a,b | --subset sensitive]
- *                  [--designs RBA,SRR,ShuffleRBA | --designs all]
- *                  [--jobs N] [--cache-dir DIR] [--out results.json]
- *                  [--csv results.csv] [--scale 0.5] [--sms 8]
- *                  [--set key=value] [--salt N] [--concurrent] [--quiet]
- *                  [--fail-fast] [--max-failures N]
- *                  [--isolate] [--timeout SECONDS] [--retries N]
- *                  [--journal FILE] [--resume FILE]
- *                  [--checkpoint-cycles N --state-dir DIR]
- *   scsim_cli figure [<name>... | --all] [--scale S] [--jobs N]
- *                  [--cache-dir DIR] [--isolate] [other sweep
- *                  execution options]   (paper figures; no name lists
- *                  the catalog)
- *   scsim_cli run-job [--checkpoint-cycles N --state-dir DIR]
- *                  (internal: one isolated sweep job; reads an
- *                  scsim-job record on stdin, writes an scsim-jobres
- *                  record on stdout; resumes from DIR/<key>.snap)
- *   scsim_cli serve [--socket /path.sock] [--port N|0] [--workers N]
- *                  [--cache-dir DIR] [--cache-max-bytes N]
- *                  [--state-dir DIR] [--timeout SECONDS] [--retries N]
- *                  [--checkpoint-cycles N]
- *                  [--quiet]    (sweep farm daemon; 0 = ephemeral port)
- *   scsim_cli checkpoint --file SNAP [--verify | --restore]
- *                  (offline snapshot inspection / manual resume)
- *   scsim_cli submit [--socket /path.sock | --port N] [--name LABEL]
- *                  [--detach] [--resume] [sweep selection options]
- *                  [--out results.json] [--csv results.csv] [--quiet]
- *   scsim_cli status [--socket /path.sock | --port N] [--json]
- *   scsim_cli version            (build + wire protocol versions)
- *   scsim_cli list [--suite parboil]
- *   scsim_cli list-designs       (design points + config overlays)
- *   scsim_cli list-policies      (scheduler / assignment policy tables)
- *   scsim_cli dump --app cg-lou --out cg-lou.sctrace [--scale 0.5]
- *   scsim_cli info [--set key=value ...]
+ *   run     WORKLOAD CONFIG [--concurrent]
+ *   sweep   SELECT LOCAL [--out results.json] [--csv results.csv]
+ *   figure  [NAME... | --all] [--scale S] LOCAL
+ *                                 (paper figures; no name lists them)
+ *   run-job [--checkpoint-cycles N --state-dir DIR]
+ *           (internal: one isolated sweep job; reads an scsim-job record
+ *           on stdin, writes an scsim-jobres record on stdout; resumes
+ *           from DIR/<key>.snap)
+ *   serve   [--socket PATH] [--port N|0] [--workers N] JOBS
+ *           [--state-dir DIR] [--max-queued-jobs N]
+ *           [--max-sweeps-per-client N] [--idle-timeout SECONDS]
+ *           [--max-write-buffer-bytes N] [--listen-backlog N]
+ *           [--sndbuf-bytes N]    (sweep farm daemon; 0 = ephemeral port)
+ *   submit  CLIENT SELECT [--busy-retries N] [--name LABEL] [--detach]
+ *           [--resume] [--quiet] [--out results.json] [--csv results.csv]
+ *   status  CLIENT [--json]
+ *   drain   CLIENT
+ *   checkpoint --file SNAP [--verify | --restore]
+ *                                 (offline snapshot inspection / resume)
+ *   version                       (build + wire protocol versions)
+ *   list    [--suite NAME]
+ *   list-designs                  (design points + config overlays)
+ *   list-policies                 (scheduler / assignment policy tables)
+ *   dump    WORKLOAD --out FILE.sctrace
+ *   info    CONFIG
  *
- * Exit code 0 on success; configuration or workload errors print
- * `fatal: ...` on stderr and exit 1.  A sweep contains per-job
- * failures (the other jobs still run and the manifest records each
- * job's status) but exits 1 if any job failed.
+ *   WORKLOAD = (--app NAME | --trace FILE | --micro MICRO) [--scale S]
+ *              [--salt N]; MICRO is fma-baseline, fma-balanced,
+ *              fma-unbalanced, imbalance:X, conflict:N, hang, crash or
+ *              crash:abort
+ *   CONFIG   = [--sms N] [--set KEY=VALUE]... [--config FILE]
+ *   SELECT   = [--apps A,B | --suite NAME | --subset sensitive|rf|all]
+ *              [--designs D,E|all] [--scale S] CONFIG [--salt N]
+ *              [--concurrent]
+ *   JOBS     = [--cache-dir DIR] [--cache-max-bytes N] [--timeout SECONDS]
+ *              [--retries N] [--checkpoint-cycles N] [--quiet]
+ *   LOCAL    = JOBS [--jobs N] [--fail-fast] [--max-failures N] [--isolate]
+ *              [--journal FILE] [--resume FILE] [--state-dir DIR]
+ *   CLIENT   = [--socket PATH | --port N]
+ *
+ * Values decode strictly (decodeValue, common/state_io.hh).  An unknown
+ * flag, a missing value or a refused one is a `fatal:` exit 1 naming
+ * the flag and listing the command's; a repeated flag takes its last
+ * value, and `--set` collects every one.  Configuration or workload
+ * errors are `fatal:` exit 1 too.  A sweep contains per-job failures
+ * (the other jobs still run and the manifest records each job's
+ * status) but exits 1 if any job failed.
  *
  * `--isolate` runs each job in its own `run-job` subprocess so a
  * crashing job is recorded ("crashed", with its signal) instead of
@@ -61,15 +65,17 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <csignal>
 #include <cstring>
 #include <iostream>
 #include <iterator>
-#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <fcntl.h>
@@ -78,6 +84,7 @@
 #include "common/fault_inject.hh"
 #include "common/io_util.hh"
 #include "common/logging.hh"
+#include "common/state_io.hh"
 #include "farm/farm_client.hh"
 #include "farm/farm_server.hh"
 #include "farm/protocol.hh"
@@ -98,70 +105,164 @@ using namespace scsim;
 
 namespace {
 
+/** Every flag's decoded value.  An unset optional means the consumer's
+ *  own default (a figure's scale, the daemon's worker count). */
 struct Args
 {
     std::string command;
-    std::map<std::string, std::string> options;
-    std::vector<std::string> sets;
     std::vector<std::string> names;  //!< `figure` positionals
+    std::string app, trace, micro, apps, suite, subset, designs, config;
+    std::optional<double> scale;
+    std::optional<int> sms, retries, workers, listenBacklog, busyRetries;
+    std::vector<std::string> sets;
+    std::uint64_t salt = 0, cacheMaxBytes = 0, checkpointCycles = 0,
+                  maxFailures = 0, maxQueuedJobs = 0, maxSweepsPerClient = 0;
+    std::optional<std::uint64_t> maxWriteBufferBytes;
+    double timeout = 0, idleTimeout = 0;
+    int jobs = 0, port = -1, sndbufBytes = 0;
+    std::string cacheDir, journal, resumeFile, out, csv, socket, file;
+    std::string stateDir;  //!< snapshots; journals too under `serve`
+    std::string name = "sweep";
+    bool concurrent = false, quiet = false, failFast = false,
+         isolate = false, all = false, detach = false, resume = false,
+         json = false, verify = false, restore = false;
 };
 
 /**
- * Whether @p flag takes no value.  `--resume` is the one
- * command-dependent case: `sweep --resume FILE` names a journal,
- * `submit --resume` asks the daemon to adopt its own.
+ * One flag meaning: its name, its value's name in the usage list
+ * (none for a switch, which sets a bool), the Args field it fills and,
+ * for a number, the range the value must fall in.  A vector field
+ * collects every occurrence.
  */
-bool
-isBooleanFlag(const std::string &command, const std::string &flag)
+struct Flag
 {
-    if (flag == "concurrent" || flag == "quiet" || flag == "fail-fast"
-        || flag == "isolate")
-        return true;
-    if (command == "figure" && flag == "all")
-        return true;
-    if (command == "submit"
-        && (flag == "detach" || flag == "resume"))
-        return true;
-    if (command == "status" && flag == "json")
-        return true;
-    if (command == "checkpoint"
-        && (flag == "verify" || flag == "restore"))
-        return true;
-    return false;
+    const char *name;
+    const char *value;
+    std::variant<bool Args::*, int Args::*, std::uint64_t Args::*,
+                 double Args::*, std::optional<int> Args::*,
+                 std::optional<std::uint64_t> Args::*,
+                 std::optional<double> Args::*, std::string Args::*,
+                 std::vector<std::string> Args::*>
+        field;
+    std::optional<FieldRange> range = {};
+};
+
+using Flags = std::vector<const Flag *>;
+
+Flags
+operator+(Flags a, const Flags &b)
+{
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
 }
 
-Args
-parseArgs(int argc, char **argv)
+const FieldRange kAtLeast0 = inRange(0, INT64_MAX);
+const FieldRange kAtLeast1 = inRange(1, INT64_MAX);
+
+// WORKLOAD, CONFIG and SELECT.  `--scale 0` is the smallest scale
+// (eight blocks an app), and each figure's own for `figure`.
+const Flag kApp{ "app", "NAME", &Args::app };
+const Flag kTrace{ "trace", "FILE", &Args::trace };
+const Flag kMicro{ "micro", "MICRO", &Args::micro };
+const Flag kScale{ "scale", "S", &Args::scale, kAtLeast0 };
+const Flag kSalt{ "salt", "N", &Args::salt };
+const Flag kSms{ "sms", "N", &Args::sms, kAtLeast1 };
+const Flag kSet{ "set", "KEY=VALUE", &Args::sets };
+const Flag kConfig{ "config", "FILE", &Args::config };
+const Flag kApps{ "apps", "A,B", &Args::apps };
+const Flag kSuite{ "suite", "NAME", &Args::suite };
+const Flag kSubset{ "subset", "sensitive|rf|all", &Args::subset };
+const Flag kDesigns{ "designs", "D,E|all", &Args::designs };
+const Flag kConcurrent{ "concurrent", nullptr, &Args::concurrent };
+// JOBS and LOCAL.  `--jobs 0` is a worker per hardware thread.
+const Flag kCacheDir{ "cache-dir", "DIR", &Args::cacheDir };
+const Flag kCacheMaxBytes{ "cache-max-bytes", "N", &Args::cacheMaxBytes };
+const Flag kTimeout{ "timeout", "SECONDS", &Args::timeout, kAtLeast0 };
+const Flag kRetries{ "retries", "N", &Args::retries, kAtLeast1 };
+const Flag kCkptCycles{ "checkpoint-cycles", "N", &Args::checkpointCycles };
+const Flag kQuiet{ "quiet", nullptr, &Args::quiet };
+const Flag kJobs{ "jobs", "N", &Args::jobs, kAtLeast0 };
+const Flag kFailFast{ "fail-fast", nullptr, &Args::failFast };
+const Flag kMaxFailures{ "max-failures", "N", &Args::maxFailures };
+const Flag kIsolate{ "isolate", nullptr, &Args::isolate };
+const Flag kJournal{ "journal", "FILE", &Args::journal };
+const Flag kResumeFile{ "resume", "FILE", &Args::resumeFile };
+const Flag kSnapshotDir{ "state-dir", "DIR", &Args::stateDir };
+// The other rows' own.
+const Flag kOut{ "out", "results.json", &Args::out };
+const Flag kCsv{ "csv", "results.csv", &Args::csv };
+const Flag kAll{ "all", nullptr, &Args::all };
+const Flag kTraceOut{ "out", "FILE.sctrace", &Args::out };
+const Flag kSocket{ "socket", "PATH", &Args::socket };
+const Flag kServePort{ "port", "N|0", &Args::port, inRange(0, 65535) };
+const Flag kWorkers{ "workers", "N", &Args::workers, kAtLeast1 };
+const Flag kJournalDir{ "state-dir", "DIR", &Args::stateDir };
+const Flag kMaxQueued{ "max-queued-jobs", "N", &Args::maxQueuedJobs };
+const Flag kMaxSweeps{ "max-sweeps-per-client", "N",
+                       &Args::maxSweepsPerClient };
+const Flag kIdleTimeout{ "idle-timeout", "SECONDS", &Args::idleTimeout,
+                         kAtLeast0 };
+const Flag kMaxWriteBuffer{ "max-write-buffer-bytes", "N",
+                            &Args::maxWriteBufferBytes };
+const Flag kBacklog{ "listen-backlog", "N", &Args::listenBacklog,
+                     kAtLeast0 };
+const Flag kSndbuf{ "sndbuf-bytes", "N", &Args::sndbufBytes, kAtLeast0 };
+const Flag kClientPort{ "port", "N", &Args::port, inRange(1, 65535) };
+const Flag kBusyRetries{ "busy-retries", "N", &Args::busyRetries,
+                         kAtLeast1 };
+const Flag kName{ "name", "LABEL", &Args::name };
+const Flag kDetach{ "detach", nullptr, &Args::detach };
+const Flag kResume{ "resume", nullptr, &Args::resume };
+const Flag kJson{ "json", nullptr, &Args::json };
+const Flag kFile{ "file", "SNAP", &Args::file };
+const Flag kVerify{ "verify", nullptr, &Args::verify };
+const Flag kRestore{ "restore", nullptr, &Args::restore };
+
+const Flags kWorkload{ &kApp, &kTrace, &kMicro, &kScale, &kSalt };
+const Flags kConfigFlags{ &kSms, &kSet, &kConfig };
+const Flags kSelect = Flags{ &kApps, &kSuite, &kSubset, &kDesigns, &kScale }
+    + kConfigFlags + Flags{ &kSalt, &kConcurrent };
+const Flags kJobFlags{ &kCacheDir, &kCacheMaxBytes, &kTimeout, &kRetries,
+                       &kCkptCycles, &kQuiet };
+const Flags kLocal = kJobFlags
+    + Flags{ &kJobs, &kFailFast, &kMaxFailures, &kIsolate, &kJournal,
+             &kResumeFile, &kSnapshotDir };
+const Flags kClient{ &kSocket, &kClientPort };
+
+template <class T> struct Unwrapped { using type = T; };
+template <class T> struct Unwrapped<std::optional<T>> { using type = T; };
+
+/** Decode @p text into @p flag's field of @p args; empty when it
+ *  decodes, else why not. */
+std::string
+decodeFlag(const Flag &flag, const std::string &text, Args &args)
 {
-    Args args;
-    if (argc < 2)
-        scsim_fatal(
-            "usage: scsim_cli <run|sweep|figure|run-job|serve|submit|"
-            "status|drain|checkpoint|version|list|list-designs|"
-            "list-policies|dump|info> [options]");
-    args.command = argv[1];
-    for (int i = 2; i < argc; ++i) {
-        std::string flag = argv[i];
-        if (flag.rfind("--", 0) != 0) {
-            if (args.command != "figure")
-                scsim_fatal("unexpected argument '%s'", flag.c_str());
-            args.names.push_back(flag);
-            continue;
+    if (text.empty())
+        return "needs a non-empty value";
+    return std::visit([&](auto member) -> std::string {
+        auto &field = args.*member;
+        using T = std::remove_reference_t<decltype(field)>;
+        using V = typename Unwrapped<T>::type;
+        if constexpr (std::is_same_v<T, std::string>) {
+            field = text;  // a path or a name, taken as given
+        } else if constexpr (kIsVector<T>) {
+            field.push_back(text);
+        } else if (V v{}; decodeValue(text, v, flag.range) == Decoded::Ok) {
+            field = v;
+        } else {
+            const FieldRange r = flag.range.value_or(inRange(0, 0));
+            return "'" + text + "' is not "
+                + (std::is_floating_point_v<V> ? "a finite number"
+                   : std::is_unsigned_v<V>     ? "an unsigned integer"
+                                               : "an integer")
+                + (!flag.range ? ""
+                   : r.hi == INT64_MAX
+                       ? " >= " + std::to_string(r.lo)
+                       : " in " + std::to_string(r.lo) + ".."
+                             + std::to_string(r.hi));
         }
-        flag.erase(0, 2);
-        if (isBooleanFlag(args.command, flag)) {
-            args.options[flag] = "1";
-            continue;
-        }
-        if (i + 1 >= argc)
-            scsim_fatal("--%s needs a value", flag.c_str());
-        std::string value = argv[++i];
-        if (flag == "set")
-            args.sets.push_back(value);
-        else
-            args.options[flag] = value;
-    }
-    return args;
+        return {};
+    }, flag.field);
 }
 
 GpuConfig
@@ -169,10 +270,10 @@ configFor(const Args &args)
 {
     GpuConfig cfg = GpuConfig::volta();
     cfg.numSms = 8;
-    if (auto it = args.options.find("config"); it != args.options.end())
-        cfg.loadFile(it->second);
-    if (auto it = args.options.find("sms"); it != args.options.end())
-        cfg.set("numSms", it->second);
+    if (!args.config.empty())
+        cfg.loadFile(args.config);
+    if (args.sms)
+        cfg.numSms = *args.sms;
     for (const std::string &kv : args.sets) {
         auto eq = kv.find('=');
         if (eq == std::string::npos)
@@ -183,27 +284,29 @@ configFor(const Args &args)
     return cfg;
 }
 
-double
-scaleFor(const Args &args)
+/** The number after `<kind>:` in `--micro <kind>:<n>`. */
+template <class T>
+T
+microParam(const std::string &micro, std::size_t at, FieldRange range)
 {
-    auto it = args.options.find("scale");
-    return it != args.options.end() ? std::stod(it->second) : 0.5;
+    T v{};
+    if (decodeValue(micro.substr(at), v, range) != Decoded::Ok)
+        scsim_fatal("--micro %s: want a number in %lld..%lld after ':'",
+                    micro.c_str(), static_cast<long long>(range.lo),
+                    static_cast<long long>(range.hi));
+    return v;
 }
 
 Application
 workloadFor(const Args &args)
 {
-    double scale = scaleFor(args);
-    std::uint64_t salt = 0;
-    if (auto it = args.options.find("salt"); it != args.options.end())
-        salt = std::stoull(it->second);
-
-    if (auto it = args.options.find("app"); it != args.options.end())
-        return buildApp(findApp(it->second, scale), salt);
-    if (auto it = args.options.find("trace"); it != args.options.end())
-        return loadApplication(it->second);
-    if (auto it = args.options.find("micro"); it != args.options.end()) {
-        const std::string &m = it->second;
+    if (!args.app.empty())
+        return buildApp(findApp(args.app, args.scale.value_or(0.5)),
+                        args.salt);
+    if (!args.trace.empty())
+        return loadApplication(args.trace);
+    if (!args.micro.empty()) {
+        const std::string &m = args.micro;
         Application app;
         app.name = m;
         app.suite = "micro";
@@ -214,11 +317,11 @@ workloadFor(const Args &args)
         else if (m == "fma-unbalanced")
             app.kernels.push_back(makeFmaMicro(FmaLayout::Unbalanced));
         else if (m.rfind("imbalance:", 0) == 0)
-            app.kernels.push_back(
-                makeImbalanceMicro(std::stod(m.substr(10))));
+            app.kernels.push_back(makeImbalanceMicro(
+                microParam<double>(m, 10, inRange(1, 1000))));
         else if (m.rfind("conflict:", 0) == 0)
-            app.kernels.push_back(
-                makeConflictMicro(std::stoi(m.substr(9))));
+            app.kernels.push_back(makeConflictMicro(
+                microParam<int>(m, 9, below(kNumConflictMicros))));
         else if (m == "hang")
             app.kernels.push_back(makeHangMicro());
         else if (m == "crash" || m == "crash:abort") {
@@ -238,7 +341,7 @@ cmdRun(const Args &args)
     GpuConfig cfg = configFor(args);
     Application app = workloadFor(args);
     sim::SimEngine engine(cfg);
-    bool concurrent = args.options.count("concurrent") > 0;
+    bool concurrent = args.concurrent;
     SimStats s = concurrent ? engine.runConcurrent(app)
                             : engine.run(app);
 
@@ -321,27 +424,25 @@ selectSweep(const Args &args)
     using namespace scsim::runner;
 
     GpuConfig base = configFor(args);
-    double scale = scaleFor(args);
+    double scale = args.scale.value_or(0.5);
 
     SweepSelection sel;
     std::vector<AppSpec> &apps = sel.apps;
-    if (auto it = args.options.find("apps"); it != args.options.end()) {
-        for (const std::string &name : splitList(it->second))
+    if (!args.apps.empty()) {
+        for (const std::string &name : splitList(args.apps))
             apps.push_back(findApp(name, scale));
-    } else if (auto su = args.options.find("suite");
-               su != args.options.end()) {
-        apps = suiteApps(su->second, scale);
-    } else if (auto ss = args.options.find("subset");
-               ss != args.options.end()) {
-        if (ss->second == "sensitive")
+    } else if (!args.suite.empty()) {
+        apps = suiteApps(args.suite, scale);
+    } else if (!args.subset.empty()) {
+        if (args.subset == "sensitive")
             apps = sensitiveApps(scale);
-        else if (ss->second == "rf")
+        else if (args.subset == "rf")
             apps = rfSensitiveApps(scale);
-        else if (ss->second == "all")
+        else if (args.subset == "all")
             apps = standardSuite(scale);
         else
             scsim_fatal("unknown subset '%s' (sensitive/rf/all)",
-                        ss->second.c_str());
+                        args.subset.c_str());
     } else {
         apps = standardSuite(scale);
     }
@@ -350,14 +451,13 @@ selectSweep(const Args &args)
 
     std::vector<std::string> &designs = sel.designs;
     designs = { designCatalog().front().name };
-    if (auto it = args.options.find("designs");
-        it != args.options.end()) {
-        if (it->second == "all") {
+    if (!args.designs.empty()) {
+        if (args.designs == "all") {
             designs.clear();
             for (const DesignInfo &info : designCatalog())
                 designs.emplace_back(info.name);
         } else {
-            for (const std::string &name : splitList(it->second)) {
+            for (const std::string &name : splitList(args.designs)) {
                 const DesignInfo *d;
                 try {
                     d = &findDesign(name);
@@ -376,17 +476,12 @@ selectSweep(const Args &args)
         }
     }
 
-    std::uint64_t salt = 0;
-    if (auto it = args.options.find("salt"); it != args.options.end())
-        salt = std::stoull(it->second);
-    bool concurrent = args.options.count("concurrent") > 0;
-
     for (const AppSpec &app : apps) {
         for (const std::string &d : designs) {
             SimJob &job = sel.spec.add(app.name + "|" + d,
                                        designConfig(base, d), app);
-            job.salt = salt;
-            job.concurrent = concurrent;
+            job.salt = args.salt;
+            job.concurrent = args.concurrent;
         }
     }
     return sel;
@@ -447,46 +542,54 @@ printSpeedupTable(const SweepSelection &sel,
     }
 }
 
+/** The end of `sweep` and `submit`: the manifests asked for, the
+ *  speedup table, the summary line and the exit code. */
+int
+reportSweep(const Args &args, const SweepSelection &sel,
+            const runner::SweepResult &res, int jobs)
+{
+    using namespace scsim::runner;
+
+    if (!args.out.empty())
+        writeFile(args.out, jsonManifest(sel.spec, res));
+    if (!args.csv.empty())
+        writeFile(args.csv, csvManifest(sel.spec, res));
+    printSpeedupTable(sel, res);
+    std::fprintf(stderr, "%s\n", summaryLine(res, jobs).c_str());
+    return res.allOk() ? 0 : 1;
+}
+
+/** The execution flags `sweep`, `figure` and `serve` share, into the
+ *  fields of the same names in SweepOptions or FarmServerOptions. */
+template <class Options>
+void
+applyJobFlags(const Args &args, Options &opts)
+{
+    opts.cacheDir = args.cacheDir;
+    opts.cacheMaxBytes = args.cacheMaxBytes;
+    opts.jobTimeoutSec = args.timeout;
+    if (args.retries)
+        opts.crashAttempts = *args.retries;
+    opts.checkpointCycles = args.checkpointCycles;
+}
+
 /** How to execute a sweep: the flags `sweep` and `figure` share. */
 runner::SweepOptions
 sweepOptionsFor(const Args &args)
 {
     runner::SweepOptions opts;
-    if (auto it = args.options.find("jobs"); it != args.options.end())
-        opts.jobs = std::stoi(it->second);
-    if (auto it = args.options.find("cache-dir");
-        it != args.options.end())
-        opts.cacheDir = it->second;
-    if (auto it = args.options.find("cache-max-bytes");
-        it != args.options.end())
-        opts.cacheMaxBytes = std::stoull(it->second);
-    opts.progress = args.options.count("quiet") == 0;
-    opts.failFast = args.options.count("fail-fast") > 0;
-    if (auto it = args.options.find("max-failures");
-        it != args.options.end())
-        opts.maxFailures = std::stoull(it->second);
-    opts.isolate = args.options.count("isolate") > 0;
-    if (auto it = args.options.find("timeout");
-        it != args.options.end())
-        opts.jobTimeoutSec = std::stod(it->second);
-    if (auto it = args.options.find("retries");
-        it != args.options.end())
-        opts.crashAttempts = std::stoi(it->second);
-    if (auto it = args.options.find("journal");
-        it != args.options.end())
-        opts.journalPath = it->second;
-    if (auto it = args.options.find("resume");
-        it != args.options.end()) {
-        opts.resumePath = it->second;
-        if (opts.journalPath.empty())
-            opts.journalPath = it->second;  // rewritten complete
-    }
-    if (auto it = args.options.find("checkpoint-cycles");
-        it != args.options.end())
-        opts.checkpointCycles = std::stoull(it->second);
-    if (auto it = args.options.find("state-dir");
-        it != args.options.end())
-        opts.snapshotDir = it->second;
+    applyJobFlags(args, opts);
+    opts.jobs = args.jobs;
+    opts.progress = !args.quiet;
+    opts.failFast = args.failFast;
+    opts.maxFailures = args.maxFailures;
+    opts.isolate = args.isolate;
+    opts.resumePath = args.resumeFile;
+    // A resumed journal is rewritten complete unless --journal says
+    // where.
+    opts.journalPath = args.journal.empty() ? args.resumeFile
+                                            : args.journal;
+    opts.snapshotDir = args.stateDir;
     if (opts.checkpointCycles && opts.snapshotDir.empty())
         scsim_fatal("--checkpoint-cycles needs --state-dir DIR for "
                     "the snapshot files");
@@ -506,20 +609,9 @@ cmdSweep(const Args &args)
     using namespace scsim::runner;
 
     SweepSelection sel = selectSweep(args);
-    SweepSpec &spec = sel.spec;
     SweepOptions opts = sweepOptionsFor(args);
-
     SweepEngine engine(opts);
-    SweepResult res = engine.run(spec);
-
-    if (auto it = args.options.find("out"); it != args.options.end())
-        writeFile(it->second, jsonManifest(spec, res));
-    if (auto it = args.options.find("csv"); it != args.options.end())
-        writeFile(it->second, csvManifest(spec, res));
-
-    printSpeedupTable(sel, res);
-    std::fprintf(stderr, "%s\n", summaryLine(res, opts.jobs).c_str());
-    return res.allOk() ? 0 : 1;
+    return reportSweep(args, sel, engine.run(sel.spec), opts.jobs);
 }
 
 /**
@@ -533,7 +625,7 @@ cmdFigure(const Args &args)
     using namespace scsim::figures;
 
     std::vector<const Figure *> figs;
-    if (args.options.count("all"))
+    if (args.all)
         for (const Figure &f : catalog())
             figs.push_back(&f);
     for (const std::string &name : args.names)
@@ -548,9 +640,7 @@ cmdFigure(const Args &args)
     if (figs.size() > 1 && !opts.journalPath.empty())
         scsim_fatal("--journal/--resume name one sweep; run one figure, "
                     "or resume several through --cache-dir");
-    double scale = 0;  // each figure's default
-    if (args.options.count("scale"))
-        scale = scaleFor(args);
+    double scale = args.scale.value_or(0);  // 0: each figure's default
     for (std::size_t i = 0; i < figs.size(); ++i) {
         if (i)
             std::cout << '\n';
@@ -627,14 +717,8 @@ cmdRunJob(const Args &args)
             scsim_warn("ignoring unparsable SCSIM_FAULT_SNAPSHOT_WRITE"
                        "='%s'", snap);
 
-    std::uint64_t ckptCycles = 0;
-    std::string stateDir;
-    if (auto it = args.options.find("checkpoint-cycles");
-        it != args.options.end())
-        ckptCycles = std::stoull(it->second);
-    if (auto it = args.options.find("state-dir");
-        it != args.options.end())
-        stateDir = it->second;
+    const std::uint64_t ckptCycles = args.checkpointCycles;
+    const std::string &stateDir = args.stateDir;
 
     std::string input(std::istreambuf_iterator<char>(std::cin), {});
     SimJob job;
@@ -796,50 +880,22 @@ cmdServe(const Args &args)
     ignoreSigpipe();
 
     farm::FarmServerOptions opts;
-    if (auto it = args.options.find("socket"); it != args.options.end())
-        opts.socketPath = it->second;
-    if (auto it = args.options.find("port"); it != args.options.end())
-        opts.tcpPort = std::stoi(it->second);
+    opts.socketPath = args.socket;
+    opts.tcpPort = args.port;
     if (opts.socketPath.empty() && opts.tcpPort < 0)
         scsim_fatal("serve needs --socket PATH and/or --port N "
                     "(0 = ephemeral)");
-    if (auto it = args.options.find("workers"); it != args.options.end())
-        opts.workers = std::stoi(it->second);
-    if (auto it = args.options.find("cache-dir");
-        it != args.options.end())
-        opts.cacheDir = it->second;
-    if (auto it = args.options.find("cache-max-bytes");
-        it != args.options.end())
-        opts.cacheMaxBytes = std::stoull(it->second);
-    if (auto it = args.options.find("state-dir");
-        it != args.options.end())
-        opts.stateDir = it->second;
-    if (auto it = args.options.find("timeout"); it != args.options.end())
-        opts.jobTimeoutSec = std::stod(it->second);
-    if (auto it = args.options.find("retries"); it != args.options.end())
-        opts.crashAttempts = std::stoi(it->second);
-    if (auto it = args.options.find("checkpoint-cycles");
-        it != args.options.end())
-        opts.checkpointCycles = std::stoull(it->second);
-    if (auto it = args.options.find("max-queued-jobs");
-        it != args.options.end())
-        opts.maxQueuedJobs = std::stoull(it->second);
-    if (auto it = args.options.find("max-sweeps-per-client");
-        it != args.options.end())
-        opts.maxSweepsPerClient = std::stoull(it->second);
-    if (auto it = args.options.find("idle-timeout");
-        it != args.options.end())
-        opts.idleTimeoutSec = std::stod(it->second);
-    if (auto it = args.options.find("max-write-buffer-bytes");
-        it != args.options.end())
-        opts.maxWriteBufferBytes = std::stoull(it->second);
-    if (auto it = args.options.find("listen-backlog");
-        it != args.options.end())
-        opts.listenBacklog = std::stoi(it->second);
-    if (auto it = args.options.find("sndbuf-bytes");
-        it != args.options.end())
-        opts.sndbufBytes = std::stoi(it->second);
-    opts.quiet = args.options.count("quiet") > 0;
+    applyJobFlags(args, opts);
+    opts.workers = args.workers.value_or(opts.workers);
+    opts.stateDir = args.stateDir;
+    opts.maxQueuedJobs = args.maxQueuedJobs;
+    opts.maxSweepsPerClient = args.maxSweepsPerClient;
+    opts.idleTimeoutSec = args.idleTimeout;
+    opts.maxWriteBufferBytes =
+        args.maxWriteBufferBytes.value_or(opts.maxWriteBufferBytes);
+    opts.listenBacklog = args.listenBacklog.value_or(opts.listenBacklog);
+    opts.sndbufBytes = args.sndbufBytes;
+    opts.quiet = args.quiet;
 
     std::string socketPath = opts.socketPath;
     farm::FarmServer server(std::move(opts));
@@ -863,10 +919,10 @@ cmdServe(const Args &args)
 farm::FarmClient
 connectFarm(const Args &args)
 {
-    if (auto it = args.options.find("socket"); it != args.options.end())
-        return farm::FarmClient::connectUnixSocket(it->second);
-    if (auto it = args.options.find("port"); it != args.options.end())
-        return farm::FarmClient::connectTcpPort(std::stoi(it->second));
+    if (!args.socket.empty())
+        return farm::FarmClient::connectUnixSocket(args.socket);
+    if (args.port >= 0)
+        return farm::FarmClient::connectTcpPort(args.port);
     scsim_fatal("%s needs --socket PATH or --port N to find the daemon",
                 args.command.c_str());
 }
@@ -884,21 +940,15 @@ cmdSubmit(const Args &args)
 
     SweepSelection sel = selectSweep(args);
     farm::FarmClient client = connectFarm(args);
-    if (auto it = args.options.find("busy-retries");
-        it != args.options.end()) {
+    if (args.busyRetries) {
         farm::FarmClient::RetryPolicy p;
-        p.maxAttempts = std::stoi(it->second);
+        p.maxAttempts = *args.busyRetries;
         client.setRetryPolicy(p);
     }
 
-    std::string name = "sweep";
-    if (auto it = args.options.find("name"); it != args.options.end())
-        name = it->second;
-    bool resume = args.options.count("resume") > 0;
-
-    if (args.options.count("detach")) {
+    if (args.detach) {
         farm::AcceptMsg accept =
-            client.submitDetached(sel.spec, name, resume);
+            client.submitDetached(sel.spec, args.name, args.resume);
         std::printf("submitted sweep %llu: %llu jobs (%llu adopted), "
                     "running detached\n",
                     static_cast<unsigned long long>(accept.sweepId),
@@ -907,11 +957,10 @@ cmdSubmit(const Args &args)
         return 0;
     }
 
-    bool quiet = args.options.count("quiet") > 0;
     std::size_t done = 0;
     auto onJob = [&](const farm::JobDoneMsg &msg) {
         ++done;
-        if (quiet)
+        if (args.quiet)
             return;
         std::size_t i = static_cast<std::size_t>(msg.index);
         const std::string &tag = i < sel.spec.jobs.size()
@@ -931,16 +980,10 @@ cmdSubmit(const Args &args)
                          toString(r.status), r.error.c_str());
     };
 
-    SweepResult res = client.submit(sel.spec, name, resume, onJob);
-
-    if (auto it = args.options.find("out"); it != args.options.end())
-        writeFile(it->second, jsonManifest(sel.spec, res));
-    if (auto it = args.options.find("csv"); it != args.options.end())
-        writeFile(it->second, csvManifest(sel.spec, res));
-
-    printSpeedupTable(sel, res);
-    std::fprintf(stderr, "%s\n", summaryLine(res, 0).c_str());
-    return res.allOk() ? 0 : 1;
+    return reportSweep(args, sel,
+                       client.submit(sel.spec, args.name, args.resume,
+                                     onJob),
+                       0);
 }
 
 /** `status`: one daemon health snapshot, human-readable or JSON. */
@@ -950,7 +993,7 @@ cmdStatus(const Args &args)
     farm::FarmClient client = connectFarm(args);
     farm::FarmStatus st = client.status();
 
-    if (args.options.count("json")) {
+    if (args.json) {
         std::fputs(farm::statusToJson(st).c_str(), stdout);
         return 0;
     }
@@ -1026,7 +1069,7 @@ cmdDrain(const Args &args)
  * shows which number disagrees.
  */
 int
-cmdVersion()
+cmdVersion(const Args &)
 {
     std::printf("scsim_cli %s\n", farm::buildVersion());
     std::printf("farm protocol  : v%u\n", farm::kFarmProtocolVersion);
@@ -1055,10 +1098,9 @@ cmdCheckpoint(const Args &args)
 {
     using namespace scsim::runner;
 
-    auto it = args.options.find("file");
-    if (it == args.options.end())
+    const std::string &path = args.file;
+    if (path.empty())
         scsim_fatal("checkpoint needs --file SNAPSHOT");
-    const std::string &path = it->second;
 
     std::string text;
     if (!readFileAll(path, text))
@@ -1069,7 +1111,7 @@ cmdCheckpoint(const Args &args)
     std::string simState;
     WireDecode d = decodeSnapshot(text, snapKey, simState);
 
-    if (args.options.count("verify")) {
+    if (args.verify) {
         switch (d) {
           case WireDecode::Ok:
             std::printf("ok: job %s, %zu state bytes\n",
@@ -1097,7 +1139,7 @@ cmdCheckpoint(const Args &args)
                     d == WireDecode::VersionSkew ? "version skew"
                                                  : "corrupt");
 
-    if (args.options.count("restore")) {
+    if (args.restore) {
         std::string input(std::istreambuf_iterator<char>(std::cin), {});
         SimJob job;
         if (parseJob(input, job) != WireDecode::Ok)
@@ -1133,8 +1175,8 @@ int
 cmdList(const Args &args)
 {
     std::vector<AppSpec> apps;
-    if (auto it = args.options.find("suite"); it != args.options.end())
-        apps = suiteApps(it->second);
+    if (!args.suite.empty())
+        apps = suiteApps(args.suite);
     else
         apps = standardSuite();
     std::string last;
@@ -1152,7 +1194,7 @@ cmdList(const Args &args)
 
 /** `list-designs`: the design catalogue with its config overlays. */
 int
-cmdListDesigns()
+cmdListDesigns(const Args &)
 {
     using namespace scsim::runner;
 
@@ -1199,7 +1241,7 @@ printPolicies(const char *title, const PolicyInfo<P> (&table)[N])
 
 /** `list-policies`: the scheduler and assignment policy tables. */
 int
-cmdListPolicies()
+cmdListPolicies(const Args &)
 {
     printPolicies("warp schedulers", kSchedulerPolicies);
     printPolicies("assignment policies", kAssignPolicies);
@@ -1209,13 +1251,12 @@ cmdListPolicies()
 int
 cmdDump(const Args &args)
 {
-    auto it = args.options.find("out");
-    if (it == args.options.end())
+    if (args.out.empty())
         scsim_fatal("dump needs --out <file>");
     Application app = workloadFor(args);
-    saveApplication(it->second, app);
+    saveApplication(args.out, app);
     std::printf("wrote %s: %zu kernels, %llu warp instructions\n",
-                it->second.c_str(), app.kernels.size(),
+                args.out.c_str(), app.kernels.size(),
                 static_cast<unsigned long long>(
                     app.totalWarpInstructions()));
     return 0;
@@ -1239,49 +1280,105 @@ cmdInfo(const Args &args)
     return 0;
 }
 
+/** One row of the usage in the file comment. */
+struct Command
+{
+    const char *name;
+    int (*run)(const Args &);
+    Flags flags;
+    const char *operands = nullptr;  //!< positionals, if any
+};
+
+const Command kCommands[] = {
+    { "run", cmdRun, kWorkload + kConfigFlags + Flags{ &kConcurrent } },
+    { "sweep", cmdSweep, kSelect + kLocal + Flags{ &kOut, &kCsv } },
+    { "figure", cmdFigure, Flags{ &kAll, &kScale } + kLocal, "NAME..." },
+    { "run-job", cmdRunJob, { &kCkptCycles, &kSnapshotDir } },
+    { "serve", cmdServe,
+      Flags{ &kSocket, &kServePort, &kWorkers } + kJobFlags
+          + Flags{ &kJournalDir, &kMaxQueued, &kMaxSweeps, &kIdleTimeout,
+                   &kMaxWriteBuffer, &kBacklog, &kSndbuf } },
+    { "submit", cmdSubmit,
+      kClient + kSelect
+          + Flags{ &kBusyRetries, &kName, &kDetach, &kResume, &kQuiet,
+                   &kOut, &kCsv } },
+    { "status", cmdStatus, kClient + Flags{ &kJson } },
+    { "drain", cmdDrain, kClient },
+    { "checkpoint", cmdCheckpoint, { &kFile, &kVerify, &kRestore } },
+    { "version", cmdVersion, {} },
+    { "list", cmdList, { &kSuite } },
+    { "list-designs", cmdListDesigns, {} },
+    { "list-policies", cmdListPolicies, {} },
+    { "dump", cmdDump, kWorkload + Flags{ &kTraceOut } },
+    { "info", cmdInfo, kConfigFlags },
+};
+
+/** `fatal: @p what`, then the flags @p cmd takes; exit 1. */
+[[noreturn]] void
+refuseArgs(const Command &cmd, const std::string &what)
+{
+    std::fprintf(stderr, "fatal: %s\n%s takes:%s\n", what.c_str(), cmd.name,
+                 cmd.flags.empty() && !cmd.operands ? " no arguments" : "");
+    if (cmd.operands)
+        std::fprintf(stderr, "  %s\n", cmd.operands);
+    for (const Flag *f : cmd.flags)
+        std::fprintf(stderr, "  --%s%s%s\n", f->name, f->value ? " " : "",
+                     f->value ? f->value : "");
+    std::exit(1);
+}
+
+/** Decode argv[2..] against @p cmd's flags. */
+Args
+parseArgs(const Command &cmd, int argc, char **argv)
+{
+    Args args;
+    args.command = cmd.name;
+    for (int i = 2; i < argc; ++i) {
+        std::string word = argv[i];
+        auto flag = std::find_if(cmd.flags.begin(), cmd.flags.end(),
+                                 [&](const Flag *f) {
+                                     return word == std::string("--")
+                                         + f->name;
+                                 });
+        if (word.rfind("--", 0) != 0 && cmd.operands)
+            args.names.push_back(word);
+        else if (word.rfind("--", 0) != 0)
+            refuseArgs(cmd, "unexpected argument '" + word + "'");
+        else if (flag == cmd.flags.end())
+            refuseArgs(cmd, "unknown flag " + word + " for " + cmd.name);
+        else if (!(*flag)->value)
+            args.*std::get<bool Args::*>((*flag)->field) = true;
+        else if (i + 1 == argc)
+            refuseArgs(cmd, word + " needs a value");
+        else if (std::string why = decodeFlag(**flag, argv[++i], args);
+                 !why.empty())
+            refuseArgs(cmd, word + ": " + why);
+    }
+    return args;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    std::string names;
+    for (const Command &c : kCommands)
+        names += std::string(names.empty() ? "" : "|") + c.name;
+    auto cmd = std::find_if(
+        std::begin(kCommands), std::end(kCommands), [&](const Command &c) {
+            return argc > 1 && std::strcmp(argv[1], c.name) == 0;
+        });
+    if (argc < 2)
+        scsim_fatal("usage: scsim_cli <%s> [options]", names.c_str());
+    if (cmd == std::end(kCommands))
+        scsim_fatal("unknown command '%s' (try %s)", argv[1],
+                    names.c_str());
+
     // The library layer throws (see common/sim_error.hh); the CLI is
     // the process boundary where that becomes an exit code.
     try {
-        Args args = parseArgs(argc, argv);
-        if (args.command == "run")
-            return cmdRun(args);
-        if (args.command == "sweep")
-            return cmdSweep(args);
-        if (args.command == "figure")
-            return cmdFigure(args);
-        if (args.command == "run-job")
-            return cmdRunJob(args);
-        if (args.command == "checkpoint")
-            return cmdCheckpoint(args);
-        if (args.command == "serve")
-            return cmdServe(args);
-        if (args.command == "submit")
-            return cmdSubmit(args);
-        if (args.command == "status")
-            return cmdStatus(args);
-        if (args.command == "drain")
-            return cmdDrain(args);
-        if (args.command == "version")
-            return cmdVersion();
-        if (args.command == "list")
-            return cmdList(args);
-        if (args.command == "list-designs")
-            return cmdListDesigns();
-        if (args.command == "list-policies")
-            return cmdListPolicies();
-        if (args.command == "dump")
-            return cmdDump(args);
-        if (args.command == "info")
-            return cmdInfo(args);
-        scsim_fatal("unknown command '%s' (try run/sweep/figure/"
-                    "run-job/serve/submit/status/checkpoint/version/"
-                    "list/list-designs/list-policies/dump/info)",
-                    args.command.c_str());
+        return cmd->run(parseArgs(*cmd, argc, argv));
     } catch (const HangError &e) {
         std::fprintf(stderr, "fatal: %s\n%s", e.what(),
                      e.diagnostic().c_str());
